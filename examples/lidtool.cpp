@@ -29,17 +29,11 @@
 //
 // Run without arguments for a demo on the paper's Fig. 1 design.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1426,32 +1420,15 @@ int cmd_dist(int argc, char** argv) {
 /// ApiError when the peer is unreachable or answers garbage.
 Json loopback_rpc(std::uint16_t port, const Json& request,
                   const char* who) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  LIPLIB_EXPECT(fd >= 0, std::string("socket failed: ") +
-                             std::strerror(errno));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError(std::string("cannot connect to ") + who +
-                   " on 127.0.0.1:" + std::to_string(port) + ": " +
-                   std::strerror(err));
-  }
+  std::optional<std::string> payload;
   try {
-    serve::write_frame(fd, request.dump());
-    std::string payload;
-    LIPLIB_EXPECT(serve::read_frame(fd, payload),
-                  std::string(who) +
-                      " closed the connection without answering");
-    ::close(fd);
-    return Json::parse(payload);
-  } catch (...) {
-    ::close(fd);
-    throw;
+    payload = serve::call(port, request.dump());
+  } catch (const serve::ConnectError& e) {
+    throw ApiError(std::string(who) + ": " + e.what());
   }
+  LIPLIB_EXPECT(payload.has_value(),
+                std::string(who) + " closed the connection without answering");
+  return Json::parse(*payload);
 }
 
 /// `lidtool trace`: fold span documents (files and/or live scrapes) and
@@ -1618,7 +1595,9 @@ int cmd_serve(int argc, char** argv) {
   server.wait();
   const auto stats = server.context().cache.stats();
   std::cout << "drained: served "
-            << server.context().requests_total.value() << " request(s), "
+            << server.context().status_json().find("requests")->find("total")
+                   ->as_uint()
+            << " request(s), "
             << stats.hits << " cache hit(s), " << stats.evictions
             << " eviction(s)\n";
   return 0;
@@ -1727,29 +1706,14 @@ int cmd_client(int argc, char** argv) {
     client_t0 = client_rec.now_us();
   }
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::cerr << "socket failed: " << std::strerror(errno) << "\n";
-    return 2;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    std::cerr << "cannot connect to 127.0.0.1:" << port << ": "
-              << std::strerror(errno) << " (is `lidtool serve` running?)\n";
-    ::close(fd);
-    return 2;
-  }
   int rc = 2;
   try {
-    serve::write_frame(fd, request.dump());
-    std::string payload;
-    if (!serve::read_frame(fd, payload)) {
+    const std::optional<std::string> payload =
+        serve::call(port, request.dump());
+    if (!payload) {
       throw ApiError("server closed the connection without answering");
     }
-    const Json response = Json::parse(payload);
+    const Json response = Json::parse(*payload);
     const Json* ok = response.find("ok");
     const bool succeeded = ok && ok->is_bool() && ok->as_bool();
     const Json* result = response.find("result");
@@ -1794,11 +1758,13 @@ int cmd_client(int argc, char** argv) {
         os << client_rec.to_json().dump(2) << "\n";
       }
     }
+  } catch (const serve::ConnectError& e) {
+    std::cerr << e.what() << " (is `lidtool serve` running?)\n";
+    rc = 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     rc = 2;
   }
-  ::close(fd);
   return rc;
 }
 

@@ -41,23 +41,25 @@
 // wait(), so the final aggregate is byte-identical to a single-process
 // run of the whole campaign.
 //
-// Connections are served one at a time on the accept thread — a
-// coordinator round-trip is a few small frames between loopback peers,
-// and serializing them keeps every state transition trivially ordered.
+// Connections are served concurrently, each on its own thread of the
+// loopback Listener (serve/transport.hpp), so a silent peer stalls
+// nobody; state transitions happen under one mutex.  The destructor
+// shuts the read side of every open connection and joins its thread.
 
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/campaign/report.hpp"
 #include "liplib/dist/shard.hpp"
+#include "liplib/serve/transport.hpp"
 #include "liplib/support/json.hpp"
 #include "liplib/support/metrics.hpp"
 #include "liplib/trace/trace.hpp"
@@ -119,12 +121,12 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Binds 127.0.0.1:<port> and starts the accept loop.  Throws
+  /// Binds 127.0.0.1:<port> and starts accepting.  Throws
   /// ApiError when the port cannot be bound.
   void start();
 
   /// The bound port (valid after start(); resolves port 0 requests).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_ ? listener_->port() : 0; }
 
   /// Blocks until all shards are merged; returns the campaign's full
   /// aggregate (byte-identical to a single-process run).
@@ -158,8 +160,6 @@ class Coordinator {
     std::uint64_t attempts = 0;     ///< leases granted for this shard
   };
 
-  void accept_loop();
-  void serve_connection(int fd);
   std::string handle_message(const std::string& payload);
   Json handle_lease();
   Json handle_result(const Json& doc, std::size_t payload_bytes);
@@ -174,10 +174,6 @@ class Coordinator {
   std::uint64_t root_span_ = 0;
   std::uint64_t start_us_ = 0;  ///< root-span start (set in start())
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
   std::vector<Slot> slots_;
@@ -190,6 +186,8 @@ class Coordinator {
   /// Mutable: the metrics scrape (const) mirrors live slot state into
   /// the registry; the registry is self-synchronized.
   mutable metrics::MetricsRegistry registry_;
+
+  std::unique_ptr<serve::Listener> listener_;
 };
 
 }  // namespace liplib::dist

@@ -11,9 +11,9 @@
 // designs is served from memory, byte-for-byte identical to a fresh
 // run.
 //
-// Concurrency model: one accept loop plus one thread per connection
-// (bounded by `max_connections`; excess connects queue in the kernel
-// backlog).  Single-design requests run on their connection's thread —
+// Concurrency model: one thread per connection on the loopback Listener
+// (transport.hpp), bounded by `max_connections` and joined once it
+// ends.  Single-design requests run on their connection's thread —
 // tenant concurrency is connection concurrency — while `campaign`
 // requests fan out on a campaign::Engine sized by `threads`.  A
 // deadlocked or livelocked design cannot wedge a worker: screening and
@@ -23,7 +23,8 @@
 // Shutdown is graceful: a `shutdown` request (or Server::shutdown())
 // stops the accept loop, lets every in-flight request finish and
 // answer, then closes the connections.  `status` reports cache and
-// request counters (support/metrics.hpp) for scraping.
+// request counters, read from the MetricsRegistry that the `metrics`
+// request kind exposes (support/metrics.hpp).
 //
 // The request handler (handle_payload) is pure protocol — it maps a
 // request payload plus a ServeContext to a response payload — so the
@@ -32,17 +33,15 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "liplib/serve/cache.hpp"
 #include "liplib/serve/protocol.hpp"
+#include "liplib/serve/transport.hpp"
 #include "liplib/support/json.hpp"
 #include "liplib/support/metrics.hpp"
 
@@ -70,10 +69,15 @@ struct ServerOptions {
   std::uint64_t watchdog_threshold = 64;
 };
 
+/// Registry family counting malformed frames and requests (the status
+/// document's `requests.protocol_errors`).
+inline constexpr const char* kProtocolErrorsMetric =
+    "liplib_serve_protocol_errors_total";
+
 /// Shared state of one daemon instance: options, the result cache, the
-/// status counters, the span recorder and the scrapeable metrics
-/// registry.  Owned by Server in production; constructed standalone in
-/// tests that exercise handle_payload directly.
+/// span recorder and the scrapeable metrics registry that also holds
+/// the status counters.  Owned by Server in production; constructed
+/// standalone in tests that exercise handle_payload directly.
 struct ServeContext {
   /// `now_ms` is the cache TTL clock, `now_us` the span/latency clock;
   /// both default to the process steady clock and are injectable so
@@ -85,33 +89,20 @@ struct ServeContext {
   ServerOptions opts;
   ResultCache cache;
 
-  std::mutex mu;  ///< guards the counters below
-  metrics::Counter requests_total;
-  /// Indexed by RequestKind.
-  metrics::Counter requests_by_kind[kRequestKindCount];
-  metrics::Counter protocol_errors;      ///< malformed frames / requests
-  metrics::Counter request_errors;       ///< well-formed requests that failed
-  metrics::Counter deadlock_verdicts;    ///< watchdog-tripped answers
-  /// Cache hits/misses of engine-keyed requests (screen / campaign),
-  /// indexed by xir::EngineMode — the per-engine traffic split of the
-  /// status document.
-  metrics::Counter engine_hits[3];
-  metrics::Counter engine_misses[3];
-  metrics::Gauge inflight;               ///< requests being computed now
-
   /// Request-lifecycle spans (serve.<kind> roots with cache-lookup /
   /// execute children); scraped via the `trace` request kind.
   trace::Recorder recorder;
-  /// The scrapeable registry (`metrics` request kind):
-  /// liplib_serve_request_latency_us{kind,engine,cache} histograms plus
-  /// cache occupancy gauges.  Self-synchronized; not guarded by `mu`.
+  /// Every counter, behind both `metrics` (Prometheus text) and `status`
+  /// (JSON): request latency histograms, request/error/deadlock counts,
+  /// per-engine cache hits/misses and cache occupancy.  Self-synchronized.
   metrics::MetricsRegistry registry;
 
   std::atomic<bool> draining{false};  ///< set by a shutdown request
 
   /// Counter snapshot for the status document (schema
-  /// "liplib.serve.status/2"); includes the cache counters plus the
-  /// top-level `evictions` counter and `cache_bytes` gauge.
+  /// "liplib.serve.status/2"), read from `registry` in one step;
+  /// includes the cache counters plus the top-level `evictions` counter
+  /// and `cache_bytes` gauge.
   Json status_json();
 };
 
@@ -121,7 +112,7 @@ struct ServeContext {
 /// This is the whole daemon except the sockets.
 std::string handle_payload(std::string_view payload, ServeContext& ctx);
 
-/// The TCP daemon.  start() binds and spawns the accept loop; wait()
+/// The TCP daemon.  start() binds and starts accepting; wait()
 /// blocks until a shutdown request (or shutdown()) has drained the
 /// in-flight work and every connection is closed.
 class Server {
@@ -137,7 +128,7 @@ class Server {
   void start();
 
   /// The bound port (valid after start(); resolves port 0 requests).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_ ? listener_->port() : 0; }
 
   /// Blocks until the daemon has fully drained after a shutdown.
   void wait();
@@ -149,22 +140,12 @@ class Server {
   ServeContext& context() { return ctx_; }
 
  private:
-  void accept_loop();
-  void serve_connection(int fd);
-  void begin_drain();
+  /// One connection's request loop; false once a shutdown request has
+  /// been answered, which drains the listener.
+  bool serve_connection(int fd);
 
   ServeContext ctx_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;  ///< open connection fds (for drain wakeup)
-  unsigned active_ = 0;
-  std::condition_variable conn_cv_;
-  std::atomic<bool> stopping_{false};
-  std::once_flag drain_once_;
+  std::unique_ptr<Listener> listener_;
 };
 
 }  // namespace liplib::serve

@@ -226,6 +226,48 @@ class MetricsRegistry {
  public:
   using Labels = std::vector<std::pair<std::string, std::string>>;
 
+  /// Holds the registry mutex until destroyed, so several reads see one
+  /// consistent state for one acquisition (the serve daemon's status
+  /// document is read this way).
+  class Reader {
+   public:
+    std::uint64_t counter_value(const std::string& name,
+                                const Labels& labels) const {
+      const Family* f = r_.find_family_locked(name);
+      if (!f) return 0;
+      const auto it = f->counters.find(label_key(labels));
+      return it == f->counters.end() ? 0 : it->second.value();
+    }
+    /// Sum of sample counts over every child of a histogram family whose
+    /// labels include all of `labels` (exact child when all labels are
+    /// given, per-dimension subtotal otherwise).
+    std::uint64_t histogram_count(const std::string& name,
+                                  const Labels& labels) const {
+      const Family* f = r_.find_family_locked(name);
+      if (!f) return 0;
+      std::uint64_t n = 0;
+      for (const auto& [key, h] : f->histograms) {
+        bool match = true;
+        for (const auto& [lk, lv] : labels) {
+          if (key.find(render_label(lk, lv)) == std::string::npos) {
+            match = false;
+            break;
+          }
+        }
+        if (match) n += h.count();
+      }
+      return n;
+    }
+
+   private:
+    friend class MetricsRegistry;
+    explicit Reader(const MetricsRegistry& r) : r_(r), lock_(r.mu_) {}
+    const MetricsRegistry& r_;
+    std::unique_lock<std::mutex> lock_;
+  };
+
+  Reader read() const { return Reader(*this); }
+
   /// Attaches HELP text to a family (creates it with `type` if new).
   void describe(const std::string& name, MetricType type,
                 const std::string& help) {
@@ -266,11 +308,7 @@ class MetricsRegistry {
 
   std::uint64_t counter_value(const std::string& name,
                               const Labels& labels) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const Family* f = find_family_locked(name);
-    if (!f) return 0;
-    const auto it = f->counters.find(label_key(labels));
-    return it == f->counters.end() ? 0 : it->second.value();
+    return read().counter_value(name, labels);
   }
 
   std::int64_t gauge_value(const std::string& name,
@@ -282,26 +320,9 @@ class MetricsRegistry {
     return it == f->gauges.end() ? 0 : it->second.value();
   }
 
-  /// Sum of sample counts over every child of a histogram family whose
-  /// labels include all of `labels` (exact child when all labels are
-  /// given, per-dimension subtotal otherwise).
   std::uint64_t histogram_count(const std::string& name,
                                 const Labels& labels) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const Family* f = find_family_locked(name);
-    if (!f) return 0;
-    std::uint64_t n = 0;
-    for (const auto& [key, h] : f->histograms) {
-      bool match = true;
-      for (const auto& [lk, lv] : labels) {
-        if (key.find(render_label(lk, lv)) == std::string::npos) {
-          match = false;
-          break;
-        }
-      }
-      if (match) n += h.count();
-    }
-    return n;
+    return read().histogram_count(name, labels);
   }
 
   /// Prometheus text exposition (content type

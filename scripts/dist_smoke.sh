@@ -10,7 +10,10 @@
 #      worker killed mid-flight while holding a lease (the
 #      --die-after-lease crash hook) plus two honest workers — the
 #      coordinator must re-dispatch the orphaned shard and the merged
-#      aggregate must again be byte-identical to golden.
+#      aggregate must again be byte-identical to golden.  A silent TCP
+#      peer stays connected to the coordinator for the whole sweep: it
+#      holds one connection thread, and neither stalls the workers nor
+#      keeps the coordinator from exiting.
 #
 # Usage: scripts/dist_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -28,6 +31,7 @@ fi
 work="$(mktemp -d)"
 coord_pid=""
 cleanup() {
+  exec 3>&- 2>/dev/null
   if [ -n "$coord_pid" ] && kill -0 "$coord_pid" 2>/dev/null; then
     kill "$coord_pid" 2>/dev/null
     wait "$coord_pid" 2>/dev/null
@@ -87,23 +91,35 @@ done
 [ -n "$port" ] && [ "$port" != "0" ] || fail "could not learn the bound port"
 echo "dist_smoke: coordinator up on port $port (pid $coord_pid)"
 
+# The silent peer: connects first and never sends a byte.
+exec 3<>"/dev/tcp/127.0.0.1/$port" || fail "silent peer could not connect"
+
 # The casualty: takes one shard lease and dies holding it.  Its shard
 # can only complete through a re-dispatch after the lease expires.
-"$lidtool" dist work --port "$port" --threads 1 --die-after-lease 1 \
-  > "$work/dead_worker.log" 2>&1 \
+timeout 60 "$lidtool" dist work --port "$port" --threads 1 \
+  --die-after-lease 1 > "$work/dead_worker.log" 2>&1 3>&- \
   || fail "the doomed worker errored instead of dying cleanly"
 grep -q "0 partial(s) submitted" "$work/dead_worker.log" \
   || fail "the doomed worker submitted work before dying"
 
 # Two honest workers finish the campaign, including the orphaned shard.
-"$lidtool" dist work --port "$port" --threads 2 > "$work/worker1.log" 2>&1 &
+"$lidtool" dist work --port "$port" --threads 2 > "$work/worker1.log" 2>&1 3>&- &
 w1=$!
-"$lidtool" dist work --port "$port" --threads 2 > "$work/worker2.log" 2>&1 &
+"$lidtool" dist work --port "$port" --threads 2 > "$work/worker2.log" 2>&1 3>&- &
 w2=$!
 
+# The coordinator exits once the last shard merges, with the silent
+# peer still connected.
+for _ in $(seq 1 600); do
+  kill -0 "$coord_pid" 2>/dev/null || break
+  sleep 0.1
+done
+kill -0 "$coord_pid" 2>/dev/null \
+  && fail "coordinator still running after 60s with a silent peer connected"
 wait "$coord_pid"
 coord_rc=$?
 coord_pid=""
+exec 3>&-
 wait "$w1" || fail "worker 1 failed"
 wait "$w2" || fail "worker 2 failed"
 [ "$coord_rc" -eq 0 ] || fail "coordinator exited $coord_rc, want 0 (all live)"

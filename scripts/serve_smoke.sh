@@ -4,8 +4,10 @@
 # mixed requests at it from `lidtool client` (lint / screen / profile /
 # campaign, including a design with a deliberate worst-case deadlock),
 # then assert via `status` that the cache actually served hits, that
-# the deadlock was answered as a verdict (not a hang), and that a
-# `shutdown` request drains cleanly.
+# the deadlock was answered as a verdict (not a hang), that 2,000
+# sequential connect-per-request `status` calls leave the daemon's
+# VmSize under 1 GiB (finished connection threads are joined, not
+# kept), and that a `shutdown` request drains cleanly with exit 0.
 #
 # Usage: scripts/serve_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -137,6 +139,18 @@ verdicts="$(get deadlock_verdicts)"
   || fail "status reports no deadlock verdicts despite $deadlock_answers deadlock answers"
 echo "serve_smoke: cache hits $hits / $total requests"
 
+# ---- soak: connection threads must not pile up -------------------------
+
+for i in $(seq 1 2000); do
+  client status > /dev/null || fail "soak status call $i failed"
+done
+vm_kib="$(sed -n 's/^VmSize:[[:space:]]*\([0-9]*\) kB/\1/p' \
+            "/proc/$server_pid/status")"
+[ -n "$vm_kib" ] || fail "could not read the daemon's VmSize"
+[ "$vm_kib" -lt $((1024 * 1024)) ] \
+  || fail "daemon VmSize is $vm_kib KiB after 2000 connections, want < 1 GiB"
+echo "serve_smoke: 2000 sequential connections, daemon VmSize $vm_kib KiB"
+
 # ---- graceful shutdown --------------------------------------------------
 
 client shutdown > /dev/null || fail "shutdown request failed"
@@ -148,7 +162,9 @@ if kill -0 "$server_pid" 2>/dev/null; then
   fail "daemon still running 10s after the shutdown request"
 fi
 wait "$server_pid"
+server_rc=$?
 server_pid=""
+[ "$server_rc" -eq 0 ] || fail "daemon exited $server_rc after the drain, want 0"
 grep -q "drained: served" "$work/serve.log" \
   || fail "daemon did not report a clean drain"
 echo "serve_smoke: PASS ($(grep 'drained:' "$work/serve.log"))"

@@ -1,17 +1,29 @@
 #include "liplib/dist/coordinator.hpp"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstring>
 
 #include "liplib/serve/cache.hpp"
 #include "liplib/serve/protocol.hpp"
 #include "liplib/support/check.hpp"
 
 namespace liplib::dist {
+
+namespace {
+
+/// Connections served at once.  Workers are connect-per-message, so a
+/// healthy fleet holds about one connection per worker; beyond the cap,
+/// connects wait in the kernel backlog.
+constexpr unsigned kMaxConnections = 64;
+
+std::string error_message(const std::string& message) {
+  return Json::object()
+      .set("rpc", kDistRpcSchema)
+      .set("msg", "error")
+      .set("error", message)
+      .dump();
+}
+
+}  // namespace
 
 Coordinator::Coordinator(CoordinatorOptions opts)
     : opts_(std::move(opts)), recorder_(opts_.clock_us) {
@@ -46,14 +58,8 @@ Coordinator::Coordinator(CoordinatorOptions opts)
 }
 
 Coordinator::~Coordinator() {
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes a blocked accept()
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Drain before any state the connection threads use goes away.
+  listener_.reset();
 }
 
 std::uint64_t Coordinator::now_ms() {
@@ -64,62 +70,23 @@ std::uint64_t Coordinator::now_ms() {
 }
 
 void Coordinator::start() {
-  LIPLIB_EXPECT(listen_fd_ < 0, "Coordinator::start called twice");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw ApiError(std::string("socket failed: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  // Loopback only, like the serve daemon: the coordinator trusts its
-  // workers; remote fleets front it with their own transport.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opts_.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError("cannot bind 127.0.0.1:" + std::to_string(opts_.port) +
-                   ": " + std::strerror(err));
-  }
-  if (::listen(fd, 128) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError(std::string("listen failed: ") + std::strerror(err));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_ = fd;
+  LIPLIB_EXPECT(!listener_, "Coordinator::start called twice");
   if (opts_.trace) start_us_ = recorder_.now_us();
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void Coordinator::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down (destructor) or fatal error
-    }
-    serve_connection(fd);
-  }
-}
-
-void Coordinator::serve_connection(int fd) {
-  try {
-    std::string payload;
-    while (serve::read_frame(fd, payload)) {
-      serve::write_frame(fd, handle_message(payload));
-    }
-  } catch (const std::exception&) {
-    // Framing violation or peer death mid-frame: drop the connection;
-    // any lease the peer held simply expires.
-  }
-  ::close(fd);
+  listener_ = std::make_unique<serve::Listener>(
+      opts_.port, kMaxConnections,
+      [this](int fd) {
+        try {
+          std::string payload;
+          while (serve::read_frame(fd, payload)) {
+            serve::write_frame(fd, handle_message(payload));
+          }
+        } catch (const std::exception&) {
+          // Framing violation or peer death mid-frame: drop the
+          // connection; any lease the peer held simply expires.
+        }
+        return true;
+      },
+      error_message);
 }
 
 std::string Coordinator::handle_message(const std::string& payload) {
@@ -156,11 +123,7 @@ std::string Coordinator::handle_message(const std::string& payload) {
     }
     throw ApiError("unknown dist message '" + kind + "'");
   } catch (const std::exception& e) {
-    return Json::object()
-        .set("rpc", kDistRpcSchema)
-        .set("msg", "error")
-        .set("error", std::string(e.what()))
-        .dump();
+    return error_message(e.what());
   }
 }
 

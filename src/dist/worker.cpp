@@ -1,13 +1,7 @@
 #include "liplib/dist/worker.hpp"
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -16,7 +10,7 @@
 #include "liplib/campaign/report.hpp"
 #include "liplib/dist/coordinator.hpp"
 #include "liplib/dist/shard.hpp"
-#include "liplib/serve/protocol.hpp"
+#include "liplib/serve/transport.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/trace/trace.hpp"
 
@@ -29,33 +23,15 @@ namespace {
 /// of a campaign once the coordinator exited); throws ApiError only on
 /// a protocol violation from a live coordinator.
 bool round_trip(std::uint16_t port, const Json& request, Json* response) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw ApiError(std::string("socket failed: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return false;
-  }
   try {
-    serve::write_frame(fd, request.dump());
-    std::string payload;
-    if (!serve::read_frame(fd, payload)) {
-      ::close(fd);
-      return false;  // hung up without answering: coordinator dying
-    }
-    *response = Json::parse(payload);
-  } catch (...) {
-    // Send/recv failure mid-frame: treat like an unreachable
+    const auto payload = serve::call(port, request.dump());
+    if (!payload) return false;  // hung up without answering: dying
+    *response = Json::parse(*payload);
+  } catch (const std::exception&) {
+    // Unreachable, or a send/recv failure mid-frame: treat like a gone
     // coordinator rather than a protocol violation.
-    ::close(fd);
     return false;
   }
-  ::close(fd);
   const Json* msg = response->find("msg");
   LIPLIB_EXPECT(response->is_object() && msg && msg->is_string(),
                 "coordinator sent a malformed dist message");

@@ -4,11 +4,6 @@
 // byte-identity of cached vs fresh responses is a property of this file
 // alone.
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -26,6 +21,21 @@
 
 namespace liplib::serve {
 
+namespace {
+
+// Registry families behind the status document (kProtocolErrorsMetric
+// is in server.hpp: the connection loop counts into it too).
+constexpr const char* kLatencyMetric = "liplib_serve_request_latency_us";
+constexpr const char* kRequestsMetric = "liplib_serve_requests_total";
+constexpr const char* kRequestErrorsMetric =
+    "liplib_serve_request_errors_total";
+constexpr const char* kDeadlockVerdictsMetric =
+    "liplib_serve_deadlock_verdicts_total";
+constexpr const char* kEngineCacheMetric =
+    "liplib_serve_engine_cache_lookups_total";
+
+}  // namespace
+
 ServeContext::ServeContext(ServerOptions options,
                            std::function<std::uint64_t()> now_ms,
                            std::function<std::uint64_t()> now_us)
@@ -33,8 +43,19 @@ ServeContext::ServeContext(ServerOptions options,
       cache(options.cache, std::move(now_ms)),
       recorder(std::move(now_us)) {
   registry.describe(
-      "liplib_serve_request_latency_us", metrics::MetricType::kHistogram,
+      kLatencyMetric, metrics::MetricType::kHistogram,
       "Request latency in microseconds by kind, engine and cache outcome.");
+  registry.describe(kRequestsMetric, metrics::MetricType::kCounter,
+                    "Well-formed requests received, by kind.");
+  registry.describe(kProtocolErrorsMetric, metrics::MetricType::kCounter,
+                    "Malformed frames and requests.");
+  registry.describe(kRequestErrorsMetric, metrics::MetricType::kCounter,
+                    "Well-formed requests that failed.");
+  registry.describe(kDeadlockVerdictsMetric, metrics::MetricType::kCounter,
+                    "Computed answers carrying a deadlock verdict.");
+  registry.describe(kEngineCacheMetric, metrics::MetricType::kCounter,
+                    "Cache lookups of engine-keyed requests (screen, "
+                    "campaign) by engine and outcome.");
   registry.describe("liplib_serve_cache_bytes", metrics::MetricType::kGauge,
                     "Result cache occupancy in bytes.");
   registry.describe("liplib_serve_cache_entries", metrics::MetricType::kGauge,
@@ -45,28 +66,48 @@ ServeContext::ServeContext(ServerOptions options,
 }
 
 Json ServeContext::status_json() {
-  std::lock_guard<std::mutex> lock(mu);
   Json requests = Json::object();
-  requests.set("total", requests_total.value());
-  for (int k = 0; k < kRequestKindCount; ++k) {
-    requests.set(request_kind_name(static_cast<RequestKind>(k)),
-                 requests_by_kind[k].value());
-  }
-  requests.set("protocol_errors", protocol_errors.value())
-      .set("request_errors", request_errors.value())
-      .set("deadlock_verdicts", deadlock_verdicts.value());
   Json engines = Json::object();
-  for (int e = 0; e < 3; ++e) {
-    engines.set(xir::engine_mode_name(static_cast<xir::EngineMode>(e)),
-                Json::object()
-                    .set("hits", engine_hits[e].value())
-                    .set("misses", engine_misses[e].value()));
+  std::int64_t inflight = 0;
+  {
+    const auto m = registry.read();
+    auto kind_count = [&m](int k) {
+      return m.counter_value(
+          kRequestsMetric,
+          {{"kind", request_kind_name(static_cast<RequestKind>(k))}});
+    };
+    std::uint64_t total = 0;
+    for (int k = 0; k < kRequestKindCount; ++k) total += kind_count(k);
+    requests.set("total", total);
+    // Every request that finishes leaves exactly one latency sample, so
+    // the ones without a sample yet are the ones in flight.
+    inflight = static_cast<std::int64_t>(
+        total - m.histogram_count(kLatencyMetric, {}));
+    for (int k = 0; k < kRequestKindCount; ++k) {
+      requests.set(request_kind_name(static_cast<RequestKind>(k)),
+                   kind_count(k));
+    }
+    requests.set("protocol_errors", m.counter_value(kProtocolErrorsMetric, {}))
+        .set("request_errors", m.counter_value(kRequestErrorsMetric, {}))
+        .set("deadlock_verdicts",
+             m.counter_value(kDeadlockVerdictsMetric, {}));
+    for (int e = 0; e < 3; ++e) {
+      const char* engine =
+          xir::engine_mode_name(static_cast<xir::EngineMode>(e));
+      auto lookups = [&](const char* cache) {
+        return m.counter_value(kEngineCacheMetric,
+                               {{"engine", engine}, {"cache", cache}});
+      };
+      engines.set(engine, Json::object()
+                              .set("hits", lookups("hit"))
+                              .set("misses", lookups("miss")));
+    }
   }
   const CacheStats cs = cache.stats();
   return Json::object()
       .set("schema", "liplib.serve.status/2")
       .set("draining", draining.load())
-      .set("inflight", static_cast<std::int64_t>(inflight.value()))
+      .set("inflight", inflight)
       // Top-level eviction / occupancy mirrors of the cache block, so a
       // dashboard can alert on byte-budget pressure without digging into
       // the nested document (the /2 additions; every /1 field remains).
@@ -356,35 +397,20 @@ Computed compute_campaign(const Request& req, const ServerOptions& opts,
 /// this daemon's own (the dist protocol reuses liplib.rpc/1 frames), so
 /// serve does not depend on the dist library.
 Computed compute_dist_status(const Request& req) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw ApiError(std::string("socket failed: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(req.port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError("no dist coordinator on 127.0.0.1:" +
-                   std::to_string(req.port) + ": " + std::strerror(err));
-  }
-  std::string payload;
+  std::optional<std::string> payload;
   try {
-    write_frame(fd, Json::object()
-                        .set("rpc", "liplib.dist/1")
-                        .set("msg", "status")
-                        .dump());
-    if (!read_frame(fd, payload)) {
-      throw ApiError("coordinator closed the connection without answering");
-    }
-  } catch (...) {
-    ::close(fd);
-    throw;
+    payload = call(static_cast<std::uint16_t>(req.port),
+                   Json::object()
+                       .set("rpc", "liplib.dist/1")
+                       .set("msg", "status")
+                       .dump());
+  } catch (const ConnectError& e) {
+    throw ApiError(std::string("no dist coordinator: ") + e.what());
   }
-  ::close(fd);
-  const Json status = Json::parse(payload);
+  if (!payload) {
+    throw ApiError("coordinator closed the connection without answering");
+  }
+  const Json status = Json::parse(*payload);
   Json result = Json::object()
                     .set("schema", "liplib.serve.dist_status/1")
                     .set("port", req.port)
@@ -451,17 +477,12 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
     }
     req = parse_request(doc);
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(ctx.mu);
-    ctx.protocol_errors.add();
+    ctx.registry.counter_add(kProtocolErrorsMetric, {});
     return error_envelope(id, e.what());
   }
 
-  {
-    std::lock_guard<std::mutex> lock(ctx.mu);
-    ctx.requests_total.add();
-    ctx.requests_by_kind[static_cast<int>(req.kind)].add();
-    ctx.inflight.add(1);
-  }
+  ctx.registry.counter_add(kRequestsMetric,
+                           {{"kind", request_kind_name(req.kind)}});
 
   // Tracing identity: the trace id comes from the caller's context when
   // present, else from the request's own content hash; the root span id
@@ -487,21 +508,17 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
                                req.kind == RequestKind::kCampaign ||
                                req.kind == RequestKind::kProve;
   /// Closes the request: counters, the latency sample (kept equal to
-  /// the per-kind request counters whenever the daemon is idle) and the
-  /// root span.  `observe_latency` is false only for the metrics kind,
+  /// the per-kind request counters whenever the daemon is idle, which is
+  /// how status counts requests in flight) and the root span.  `observe_latency` is false only for the metrics kind,
   /// which records its sample *before* exposition instead.
   auto finish = [&](bool deadlock, bool error, const char* cache_label,
                     bool observe_latency = true) {
-    {
-      std::lock_guard<std::mutex> lock(ctx.mu);
-      ctx.inflight.add(-1);
-      if (deadlock) ctx.deadlock_verdicts.add();
-      if (error) ctx.request_errors.add();
-    }
+    if (deadlock) ctx.registry.counter_add(kDeadlockVerdictsMetric, {});
+    if (error) ctx.registry.counter_add(kRequestErrorsMetric, {});
     const std::uint64_t t1 = ctx.recorder.now_us();
     if (observe_latency) {
       ctx.registry.observe(
-          "liplib_serve_request_latency_us",
+          kLatencyMetric,
           {{"kind", request_kind_name(req.kind)},
            {"engine", engine_labelled ? req.engine : "none"},
            {"cache", cache_label}},
@@ -537,7 +554,7 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
           "liplib_serve_cache_evictions_total", {},
           cs.evictions - ctx.registry.counter_value(
                              "liplib_serve_cache_evictions_total", {}));
-      ctx.registry.observe("liplib_serve_request_latency_us",
+      ctx.registry.observe(kLatencyMetric,
                            {{"kind", request_kind_name(req.kind)},
                             {"engine", "none"},
                             {"cache", "none"}},
@@ -582,7 +599,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
     // campaign answers depend on the requested evaluator's key.
     const bool engine_keyed = req.kind == RequestKind::kScreen ||
                               req.kind == RequestKind::kCampaign;
-    const int engine_idx = static_cast<int>(engine_of(req));
 
     const std::uint64_t lookup_ts = ctx.recorder.now_us();
     auto hit = ctx.cache.lookup(key);
@@ -600,17 +616,14 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
       ctx.recorder.record(std::move(lk));
       root.events.push_back({hit ? "cache.hit" : "cache.miss", lookup_end});
     }
+    if (engine_keyed) {
+      ctx.registry.counter_add(kEngineCacheMetric,
+                               {{"engine", req.engine},
+                                {"cache", hit ? "hit" : "miss"}});
+    }
     if (hit) {
-      if (engine_keyed) {
-        std::lock_guard<std::mutex> lock(ctx.mu);
-        ctx.engine_hits[engine_idx].add();
-      }
       finish(false, false, "hit");
       return success_envelope(req.id, req.kind, /*cached=*/true, *hit);
-    }
-    if (engine_keyed) {
-      std::lock_guard<std::mutex> lock(ctx.mu);
-      ctx.engine_misses[engine_idx].add();
     }
 
     const std::uint64_t exec_ts = ctx.recorder.now_us();

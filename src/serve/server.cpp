@@ -1,13 +1,5 @@
 #include "liplib/serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 #include "liplib/support/check.hpp"
 
 namespace liplib::serve {
@@ -20,74 +12,21 @@ Server::~Server() {
 }
 
 void Server::start() {
-  LIPLIB_EXPECT(listen_fd_ < 0, "Server::start called twice");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw ApiError(std::string("socket failed: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  // Loopback only: the daemon is a local backend, not an internet
-  // listener; remote fleets front it with their own transport.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(ctx_.opts.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError("cannot bind 127.0.0.1:" + std::to_string(ctx_.opts.port) +
-                   ": " + std::strerror(err));
-  }
-  if (::listen(fd, 128) < 0) {
-    const int err = errno;
-    ::close(fd);
-    throw ApiError(std::string("listen failed: ") + std::strerror(err));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_ = fd;
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  LIPLIB_EXPECT(!listener_, "Server::start called twice");
+  listener_ = std::make_unique<Listener>(
+      ctx_.opts.port, ctx_.opts.max_connections,
+      [this](int fd) { return serve_connection(fd); },
+      [](const std::string& message) {
+        return error_envelope(Json(), message);
+      });
 }
 
-void Server::accept_loop() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down (drain) or fatal error
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
-    }
-    std::unique_lock<std::mutex> lock(conn_mu_);
-    conn_cv_.wait(lock, [this] {
-      return active_ < ctx_.opts.max_connections || stopping_.load();
-    });
-    if (stopping_.load()) {
-      lock.unlock();
-      ::close(fd);
-      break;
-    }
-    ++active_;
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
-  }
-}
-
-void Server::serve_connection(int fd) {
+bool Server::serve_connection(int fd) {
   std::string payload;
   try {
-    while (!stopping_.load()) {
+    while (!ctx_.draining.load()) {
       if (!read_frame(fd, payload, ctx_.opts.limits)) break;  // clean EOF
-      const std::string response = handle_payload(payload, ctx_);
-      write_frame(fd, response);
-      if (ctx_.draining.load()) break;
+      write_frame(fd, handle_payload(payload, ctx_));
     }
   } catch (const std::exception& e) {
     // Protocol violation or I/O error: tell the peer why when the pipe
@@ -96,64 +35,20 @@ void Server::serve_connection(int fd) {
       write_frame(fd, error_envelope(Json(), e.what()));
     } catch (...) {
     }
-    std::lock_guard<std::mutex> lock(ctx_.mu);
-    ctx_.protocol_errors.add();
+    ctx_.registry.counter_add(kProtocolErrorsMetric, {});
   }
-  {
-    // Unregister before close so begin_drain can never shut down a
-    // recycled fd number.
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    --active_;
-    for (auto& open : conn_fds_) {
-      if (open == fd) {
-        open = -1;
-        break;
-      }
-    }
-  }
-  ::close(fd);
-  conn_cv_.notify_all();
   // A shutdown request drains the whole daemon once its own response is
   // on the wire.
-  if (ctx_.draining.load()) begin_drain();
+  return !ctx_.draining.load();
 }
 
-void Server::begin_drain() {
-  std::call_once(drain_once_, [this] {
-    stopping_.store(true);
-    ctx_.draining.store(true);
-    if (listen_fd_ >= 0) {
-      // shutdown() (not just close) reliably wakes a blocked accept().
-      ::shutdown(listen_fd_, SHUT_RDWR);
-    }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) {
-      // Wake idle readers; in-flight computations finish and answer
-      // first because the write side stays open.
-      if (fd >= 0) ::shutdown(fd, SHUT_RD);
-    }
-    conn_cv_.notify_all();
-  });
+void Server::shutdown() {
+  ctx_.draining.store(true);
+  if (listener_) listener_->stop();
 }
-
-void Server::shutdown() { begin_drain(); }
 
 void Server::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (;;) {
-    std::thread t;
-    {
-      std::lock_guard<std::mutex> lock(conn_mu_);
-      if (conn_threads_.empty()) break;
-      t = std::move(conn_threads_.back());
-      conn_threads_.pop_back();
-    }
-    if (t.joinable()) t.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  if (listener_) listener_->wait();
 }
 
 }  // namespace liplib::serve

@@ -12,6 +12,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "liplib/dist/worker.hpp"
 #include "liplib/serve/protocol.hpp"
 #include "liplib/serve/server.hpp"
+#include "liplib/serve/transport.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/support/json.hpp"
 
@@ -208,19 +212,9 @@ TEST(Dist, MergeRejectsForeignAndIncompleteShards) {
 
 /// One liplib.dist/1 round trip on a fresh loopback connection.
 Json dist_round_trip(std::uint16_t port, const Json& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  serve::write_frame(fd, request.dump());
-  std::string payload;
-  EXPECT_TRUE(serve::read_frame(fd, payload));
-  ::close(fd);
-  return Json::parse(payload);
+  const auto payload = serve::call(port, request.dump());
+  EXPECT_TRUE(payload.has_value());
+  return Json::parse(payload.value_or(""));
 }
 
 TEST(Dist, CoordinatorSurvivesAStragglerAndMergesGoldenBytes) {
@@ -273,6 +267,60 @@ TEST(Dist, CoordinatorSurvivesAStragglerAndMergesGoldenBytes) {
   EXPECT_GT(stats.bytes_merged, 0u);
   // Every shard was accepted from exactly one honest worker.
   EXPECT_EQ(w1.submitted + w2.submitted, 4u);
+}
+
+// A TCP peer that connects and never sends a byte holds one connection
+// thread, not the coordinator: workers still finish the campaign, and
+// the destructor still returns while the peer stays connected.  Each
+// wait is bounded; on a timeout the peer hangs up so the test fails
+// instead of hanging.
+TEST(Dist, SilentPeerDoesNotStallTheCoordinator) {
+  const auto spec = fuzz_spec(40, xir::EngineMode::kInterp);
+  const std::string golden = unsharded_bytes(spec, /*threads=*/1);
+
+  dist::CoordinatorOptions copts;
+  copts.spec = spec;
+  copts.base_seed = kSeed;
+  copts.cycle_budget = kBudget;
+  copts.shards = 8;
+  copts.wait_ms = 20;
+  auto coord = std::make_unique<dist::Coordinator>(copts);
+  coord->start();
+
+  const int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(coord->port());
+  ASSERT_EQ(
+      ::connect(silent, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  bool peer_open = true;
+  auto within_10s = [&](std::future<void>& f) {
+    if (f.wait_for(std::chrono::seconds(10)) == std::future_status::ready) {
+      return true;
+    }
+    ::close(silent);
+    peer_open = false;
+    f.wait();
+    return false;
+  };
+
+  std::string merged;
+  auto campaign = std::async(std::launch::async, [&] {
+    dist::WorkerOptions w;
+    w.port = coord->port();
+    w.threads = 1;
+    const auto stats = dist::run_worker(w);
+    EXPECT_EQ(stats.submitted, 8u);
+    merged = campaign::to_json(coord->wait()).dump(2);
+  });
+  EXPECT_TRUE(within_10s(campaign)) << "campaign stalled behind the peer";
+  EXPECT_EQ(merged, golden);
+
+  auto teardown = std::async(std::launch::async, [&] { coord.reset(); });
+  EXPECT_TRUE(within_10s(teardown)) << "destructor waited for the peer";
+  if (peer_open) ::close(silent);
 }
 
 TEST(Dist, CoordinatorDedupsDuplicateResults) {
@@ -371,10 +419,8 @@ TEST(Dist, ServeRelaysDistStatus) {
                             ctx);
   EXPECT_FALSE(Json::parse(invalid).find("ok")->as_bool());
   // Both well-formed relays were counted under the new kind.
-  EXPECT_EQ(ctx.requests_by_kind[static_cast<int>(
-                                     serve::RequestKind::kDistStatus)]
-                .value(),
-            2u);
+  EXPECT_EQ(
+      ctx.status_json().find("requests")->find("dist-status")->as_uint(), 2u);
 }
 
 TEST(Dist, WorkerWithoutACoordinatorFailsLoudly) {

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "liplib/serve/cache.hpp"
 #include "liplib/serve/protocol.hpp"
 #include "liplib/serve/server.hpp"
+#include "liplib/serve/transport.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/support/json.hpp"
 
@@ -469,26 +471,26 @@ TEST(Handlers, MalformedPayloadsBecomeErrorEnvelopes) {
 
 // ---- the daemon over loopback -------------------------------------------
 
-/// Minimal scripted client: one connection, n sequential requests.
+/// Minimal scripted client: n sequential requests, one call each.
 std::vector<std::string> roundtrip(std::uint16_t port,
                                    const std::vector<std::string>& requests) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   std::vector<std::string> responses;
   for (const auto& r : requests) {
-    write_frame(fd, r);
-    std::string payload;
-    if (!read_frame(fd, payload)) break;
-    responses.push_back(std::move(payload));
+    auto payload = call(port, r);
+    if (!payload) break;
+    responses.push_back(std::move(*payload));
   }
-  ::close(fd);
   return responses;
+}
+
+/// The process's virtual size in KiB (VmSize of /proc/self/status).
+std::int64_t vm_size_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return 0;
 }
 
 TEST(Server, EightConcurrentClientsGetByteIdenticalAnswersAndCacheHits) {
@@ -553,6 +555,26 @@ TEST(Server, EightConcurrentClientsGetByteIdenticalAnswersAndCacheHits) {
   EXPECT_TRUE(
       Json::parse(tail[1]).find("result")->find("draining")->as_bool());
   server.wait();  // returns only after a full drain
+}
+
+// Every connection runs on its own thread; a finished thread must be
+// joined, or each connection leaves its stack (8 MiB of address space
+// by default) behind until shutdown.
+TEST(Server, SequentialConnectionsDoNotAccumulateThreadStacks) {
+  Server server;
+  server.start();
+  const std::string status = request_json("status", nullptr);
+  ASSERT_TRUE(call(server.port(), status).has_value());  // warm-up
+  const std::int64_t before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_TRUE(call(server.port(), status).has_value()) << "call " << i;
+  }
+  const std::int64_t grown_mib = (vm_size_kib() - before) / 1024;
+  EXPECT_LT(grown_mib, 256) << "VmSize grew by " << grown_mib
+                            << " MiB over 500 connections";
+  server.shutdown();
+  server.wait();
 }
 
 TEST(Server, ProtocolViolationGetsAnErrorFrameAndTheConnectionDropped) {

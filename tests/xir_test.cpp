@@ -370,12 +370,16 @@ TEST(XirServe, EngineKeysTheCacheAndCounters) {
                     a1.substr(a1.find("\"cached\":false") + 14));
   EXPECT_NE(b1.find("\"cached\":false"), std::string::npos);
 
-  const int interp_idx = static_cast<int>(xir::EngineMode::kInterp);
-  const int compiled_idx = static_cast<int>(xir::EngineMode::kCompiled);
-  EXPECT_EQ(ctx.engine_misses[compiled_idx].value(), 1u);
-  EXPECT_EQ(ctx.engine_hits[compiled_idx].value(), 1u);
-  EXPECT_EQ(ctx.engine_misses[interp_idx].value(), 1u);
-  EXPECT_EQ(ctx.engine_hits[interp_idx].value(), 0u);
+  // The per-engine split as the metrics registry counts it.
+  auto lookups = [&ctx](const char* engine, const char* cache) {
+    return ctx.registry.counter_value(
+        "liplib_serve_engine_cache_lookups_total",
+        {{"engine", engine}, {"cache", cache}});
+  };
+  EXPECT_EQ(lookups("compiled", "miss"), 1u);
+  EXPECT_EQ(lookups("compiled", "hit"), 1u);
+  EXPECT_EQ(lookups("interp", "miss"), 1u);
+  EXPECT_EQ(lookups("interp", "hit"), 0u);
 
   // Engines agree on the verdict payload (only the echoed engine name
   // differs between the result documents).
