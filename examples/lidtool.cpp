@@ -387,7 +387,8 @@ int cmd_simulate(const graph::Topology& topo,
 
   // Watchdog-guarded pass first: a deadlocked/livelocked design is
   // reported (with evidence) instead of silently draining the analyze
-  // budget.  Skeleton steps are cheap enough to pay twice.
+  // budget.  The guard stops at transient extinction, so a live design
+  // pays for its transient about twice, not for the budget.
   {
     skeleton::Skeleton guard(topo);
     if (worst_case) guard.saturate_stations();

@@ -60,6 +60,23 @@ struct SkeletonResult {
   std::vector<graph::NodeId> starved_shells() const;
 };
 
+/// Signature widths of a pending-branch mask: a shell output port
+/// serializes 2 bytes and a source 1 byte, unless its fan-out exceeds
+/// that width; then the port serializes all 4 bytes of its 32-bit mask.
+constexpr std::size_t kShellPortMaskBytes = 2;
+constexpr std::size_t kSourceMaskBytes = 1;
+
+/// Appends `mask` to a state signature under the width rule above.  Every
+/// skeleton engine serializes its masks through this, so their
+/// signatures repeat on the same cycles.
+void append_pend_mask(std::string& sig, std::uint32_t mask,
+                      std::size_t fanout, std::size_t base_bytes);
+
+/// lcm(period, pattern_len), folding one sink pattern into an
+/// environment period; an empty (greedy) pattern leaves it unchanged,
+/// and 0 (overflowed) stays 0.
+std::uint64_t env_period_of(std::uint64_t period, std::size_t pattern_len);
+
 /// Control-plane-only simulator of a latency-insensitive design.
 class Skeleton {
  public:
@@ -67,8 +84,8 @@ class Skeleton {
 
   /// Gives sink `node` a cyclic stop pattern (true = stop); default is a
   /// greedy never-stopping consumer.  Patterns make the environment
-  /// periodic with period = lcm of pattern lengths; pass that period to
-  /// analyze().
+  /// periodic with period = lcm of pattern lengths (env_period()); pass
+  /// that period to analyze().
   void set_sink_pattern(graph::NodeId node, std::vector<bool> pattern);
 
   /// Worst-case-occupancy fault injection: marks every relay station as
@@ -94,7 +111,13 @@ class Skeleton {
   /// Firings of a process node so far.
   std::uint64_t fires(graph::NodeId process) const;
 
+  /// Period of the sink environment: the lcm of the sink-pattern lengths
+  /// (1 when every sink is greedy, 0 when the lcm overflows 64 bits).
+  std::uint64_t env_period() const;
+
   /// Serialized protocol state (no counters), for period detection.
+  /// Injective: together with the environment phase (cycle modulo
+  /// env_period()) it determines every later cycle.
   std::string state_signature() const;
 
   /// Runs until the protocol state repeats (rho detection) and derives

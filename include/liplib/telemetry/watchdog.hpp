@@ -160,6 +160,9 @@ class Watchdog final : public probe::CycleObserver {
   std::uint64_t trip_cycle() const { return trip_cycle_; }
   /// First cycle of the frozen run — the earliest no-progress cycle.
   std::uint64_t no_progress_since() const { return frozen_since_; }
+  /// Length of the frozen run ending at the last observed frame (0 when
+  /// that frame made progress).
+  std::uint64_t frozen_run() const { return frozen_run_; }
   /// Cycles currently recorded in the flight-recorder ring.
   std::uint64_t recorded_cycles() const;
 
@@ -195,9 +198,20 @@ class Watchdog final : public probe::CycleObserver {
   bool trip_saturated_ = false;
 };
 
-/// Steps `sys` until the watchdog trips or `max_cycles` elapse.  The
-/// satellite surface: lidtool simulate/run report a deadlock verdict
-/// instead of silently exhausting the budget.
+/// Steps a host with `dog` attached until the watchdog trips or
+/// `max_cycles` elapse, so lidtool simulate/run and the serve daemon
+/// report a deadlock verdict instead of silently exhausting the budget.
+///
+/// The skeleton::Skeleton and xir::ScalarEngine overloads also stop at
+/// transient extinction, the paper's screening recipe: once the
+/// protocol state and the sink-environment phase repeat with period λ
+/// (Brent's cycle detection over state_signature() and the cycle modulo
+/// env_period()), they step λ more cycles and stop if the watchdog has
+/// not tripped and that period holds a progress frame.  Frames are a
+/// pure function of state and phase, so every later frozen run has
+/// then been observed and the watchdog provably never trips; a run
+/// that does trip steps to the same trip cycle as a full-budget run.
+/// The lip::System overload always runs to a trip or the budget.
 struct GuardedRun {
   std::uint64_t cycles = 0;  ///< cycles actually stepped
   bool deadlocked = false;   ///< watchdog tripped

@@ -168,6 +168,9 @@ class ScalarEngine {
   /// Firings of a process node so far.
   std::uint64_t fires(graph::NodeId process) const;
 
+  /// See Skeleton::env_period.
+  std::uint64_t env_period() const;
+
   /// Serialized protocol state for rho detection.  Injective over the
   /// same state the interpreter serializes (different byte layout, so
   /// signatures are not interchangeable between engines — repeat cycles

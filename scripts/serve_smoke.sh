@@ -3,6 +3,9 @@
 # the shipped binary: start a daemon on an ephemeral port, fire 100
 # mixed requests at it from `lidtool client` (lint / screen / profile /
 # campaign, including a design with a deliberate worst-case deadlock),
+# check that the daemon's screen of examples/designs/half_ring.lid trips
+# at the cycle `lidtool simulate --worst-case` reports and that a live
+# design stays live under a 2^20 budget,
 # then assert via `status` that the cache actually served hits, that
 # the deadlock was answered as a verdict (not a hang), that 2,000
 # sequential connect-per-request `status` calls leave the daemon's
@@ -86,9 +89,10 @@ client() { "$lidtool" client "$@" --port "$port"; }
 
 # ---- 100 mixed requests -------------------------------------------------
 
-# 24 rounds x 4 request kinds = 96, plus 2 campaigns, plus the final
-# status + shutdown below = 100 frames total.  After round one, every
-# lint/screen/profile answer must be a cache hit.
+# 24 rounds x 4 request kinds = 96, plus 2 campaigns, plus the 2
+# early-exit screens and the final status + shutdown below = 102 frames
+# total.  After round one, every lint/screen/profile answer must be a
+# cache hit.
 requests=0
 deadlock_answers=0
 for _ in $(seq 1 24); do
@@ -109,6 +113,43 @@ done
 client campaign fuzz 10 --seed 7 > /dev/null || fail "campaign fuzz failed"
 client campaign fuzz 10 --seed 7 > /dev/null || fail "repeat campaign failed"
 requests=$((requests + 2))
+
+# ---- early exit changes no answer ---------------------------------------
+
+# The guard stops at transient extinction; a deadlock must still trip at
+# the cycle a full-budget `lidtool simulate --worst-case` reports.
+half_ring="$repo_root/examples/designs/half_ring.lid"
+"$lidtool" simulate "$half_ring" --worst-case > "$work/simulate.txt"
+[ $? -eq 1 ] || fail "simulate --worst-case of half_ring.lid did not exit 1"
+sim_line="$(grep '^DEADLOCK:' "$work/simulate.txt")"
+sim_reason="$(echo "$sim_line" | sed -n 's/.*tripped (\([a-z_]*\)).*/\1/p')"
+sim_since="$(echo "$sim_line" | sed -n 's/.*no progress since cycle \([0-9]*\).*/\1/p')"
+sim_trip="$(echo "$sim_line" | sed -n 's/.*tripped at cycle \([0-9]*\).*/\1/p')"
+[ -n "$sim_reason" ] && [ -n "$sim_since" ] && [ -n "$sim_trip" ] \
+  || fail "could not read the trip from lidtool simulate: $sim_line"
+client screen "$half_ring" > "$work/half_ring.json"
+[ $? -eq 1 ] || fail "screen of half_ring.lid did not exit 1"
+# The worst-case pass's own verdict members precede its post-mortem.
+wc_get() {
+  sed -n '/"worst_case": {/,/"post_mortem"/p' "$work/half_ring.json" |
+    sed -n "s/.*\"$1\": \"\{0,1\}\([a-z_0-9]*\)\"\{0,1\},\{0,1\}$/\1/p" |
+    head -n1
+}
+[ "$(wc_get reason)" = "$sim_reason" ] \
+  || fail "daemon reason '$(wc_get reason)', simulate '$sim_reason'"
+[ "$(wc_get no_progress_since)" = "$sim_since" ] \
+  || fail "daemon no_progress_since '$(wc_get no_progress_since)', simulate '$sim_since'"
+[ "$(wc_get trip_cycle)" = "$sim_trip" ] \
+  || fail "daemon trip_cycle '$(wc_get trip_cycle)', simulate '$sim_trip'"
+# A live design under a budget four times the default is still live.
+client screen "$repo_root/examples/designs/fig1.lid" --budget 1048576 \
+  > "$work/fig1_budget.json" \
+  || fail "screen of fig1.lid with budget 1048576 did not exit 0"
+grep -q '"verdict": "live"' "$work/fig1_budget.json" \
+  || fail "fig1.lid with budget 1048576 was not answered live"
+requests=$((requests + 2))
+echo "serve_smoke: half_ring trips at cycle $sim_trip ($sim_reason) in both the daemon and simulate"
+
 echo "serve_smoke: $requests requests served, $deadlock_answers deadlock verdicts"
 
 # ---- status: the cache must have served hits ----------------------------
@@ -129,8 +170,8 @@ verdicts="$(get deadlock_verdicts)"
 [ "$total" -eq $((requests + 1)) ] \
   || fail "status reports $total requests, want $((requests + 1))"
 # 4 distinct cache keys (lint/screen/profile of fig1, screen of the
-# deadlock ring) computed once each + 1 campaign key: everything else
-# must have come from the cache.
+# deadlock ring) computed once each + 1 campaign key + the 2 early-exit
+# screens: everything else must have come from the cache.
 [ "$hits" -ge $((requests - 10)) ] \
   || fail "only $hits cache hits across $requests requests"
 # deadlock_verdicts counts watchdog-tripped computations; the 23 repeat

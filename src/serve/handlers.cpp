@@ -209,7 +209,9 @@ Computed compute_lint(const ParsedDesign& d) {
 
 /// One watchdog-guarded screening pass (reset or worst-case occupancy).
 /// A deadlocked design yields a verdict object carrying the post-mortem
-/// bundle instead of wedging the worker on a drained budget.  The
+/// bundle instead of wedging the worker on a drained budget.  The guard
+/// stops at transient extinction, so a live design costs its transient
+/// and a couple of periods, not the budget.  The
 /// engine selects the evaluator; verdicts, cycle indices and the
 /// post-mortem bundle are bit-identical across engines (the xir
 /// engines replay the interpreter's probe wiring, so the watchdog sees

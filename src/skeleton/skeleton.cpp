@@ -1,5 +1,7 @@
 #include "liplib/skeleton/skeleton.hpp"
 
+#include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "liplib/probe/probe.hpp"
@@ -9,6 +11,22 @@ namespace liplib::skeleton {
 
 namespace {
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+}
+
+void append_pend_mask(std::string& sig, std::uint32_t mask,
+                      std::size_t fanout, std::size_t base_bytes) {
+  const std::size_t bytes = fanout > 8 * base_bytes ? 4 : base_bytes;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    sig.push_back(static_cast<char>((mask >> (8 * i)) & 0xff));
+  }
+}
+
+std::uint64_t env_period_of(std::uint64_t period, std::size_t pattern_len) {
+  if (period == 0 || pattern_len == 0) return period;
+  const std::uint64_t n = pattern_len;
+  const std::uint64_t reduced = period / std::gcd(period, n);
+  if (reduced > std::numeric_limits<std::uint64_t>::max() / n) return 0;
+  return reduced * n;
 }
 
 std::vector<graph::NodeId> SkeletonResult::starved_shells() const {
@@ -399,18 +417,24 @@ std::uint64_t Skeleton::fires(graph::NodeId process) const {
   return shells_[node_index_[process]].fire_count;
 }
 
+std::uint64_t Skeleton::env_period() const {
+  std::uint64_t period = 1;
+  for (const auto& s : sinks_) period = env_period_of(period, s.pattern.size());
+  return period;
+}
+
 std::string Skeleton::state_signature() const {
   std::string s;
   s.reserve(shells_.size() * 4 + sources_.size() + stations_.size());
   for (const auto& sh : shells_) {
     for (const auto& p : sh.out) {
-      s.push_back(static_cast<char>(p.pend & 0xff));
-      s.push_back(static_cast<char>((p.pend >> 8) & 0xff));
+      append_pend_mask(s, p.pend, p.branch.size(), kShellPortMaskBytes);
     }
     for (auto q : sh.q_size) s.push_back(static_cast<char>(q));
   }
   for (const auto& src : sources_) {
-    s.push_back(static_cast<char>(src.port.pend & 0xff));
+    append_pend_mask(s, src.port.pend, src.port.branch.size(),
+                     kSourceMaskBytes);
   }
   for (const auto& st : stations_) {
     char b = static_cast<char>(st.occ);

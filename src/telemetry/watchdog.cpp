@@ -359,26 +359,64 @@ GuardedRun run_guarded(lip::System& sys, Watchdog& dog,
   return r;
 }
 
-GuardedRun run_guarded(skeleton::Skeleton& sk, Watchdog& dog,
-                       std::uint64_t max_cycles) {
+namespace {
+
+/// run_guarded over a skeleton engine, stopping at transient extinction
+/// (see the header).  Brent's algorithm keeps one remembered key — the
+/// state signature at the last power-of-two checkpoint plus its
+/// environment phase — so detection costs constant memory.
+template <typename Engine>
+GuardedRun run_guarded_to_extinction(Engine& eng, Watchdog& dog,
+                                     std::uint64_t max_cycles) {
+  const std::uint64_t env = eng.env_period();  // 0: phase not keyable
+  bool detecting = env != 0;
+  std::string tortoise = detecting ? eng.state_signature() : std::string();
+  std::uint64_t tortoise_phase = detecting ? eng.cycle() % env : 0;
+  std::uint64_t power = 1;
+  std::uint64_t lambda = 0;
+  std::uint64_t decide_at = 0;  // r.cycles once two periods are observed
+
   GuardedRun r;
-  for (std::uint64_t i = 0; i < max_cycles && !dog.tripped(); ++i) {
-    sk.step();
+  while (r.cycles < max_cycles && !dog.tripped()) {
+    eng.step();
     ++r.cycles;
+    if (detecting) {
+      ++lambda;
+      std::string sig = eng.state_signature();
+      const std::uint64_t phase = eng.cycle() % env;
+      if (phase == tortoise_phase && sig == tortoise) {
+        // Periodic with period lambda from lambda cycles ago: one
+        // period of frames is observed, step one more.
+        detecting = false;
+        decide_at = r.cycles + lambda;
+      } else if (lambda == power) {
+        tortoise = std::move(sig);
+        tortoise_phase = phase;
+        power *= 2;
+        lambda = 0;
+      }
+    } else if (r.cycles == decide_at) {
+      // Two whole periods observed.  A frozen run shorter than the
+      // period means the period holds a progress frame: every later
+      // frozen run repeats one already seen without tripping.  A fully
+      // frozen period keeps stepping to its trip.
+      if (!dog.tripped() && dog.frozen_run() < lambda) break;
+    }
   }
   r.deadlocked = dog.tripped();
   return r;
 }
 
+}  // namespace
+
+GuardedRun run_guarded(skeleton::Skeleton& sk, Watchdog& dog,
+                       std::uint64_t max_cycles) {
+  return run_guarded_to_extinction(sk, dog, max_cycles);
+}
+
 GuardedRun run_guarded(xir::ScalarEngine& eng, Watchdog& dog,
                        std::uint64_t max_cycles) {
-  GuardedRun r;
-  for (std::uint64_t i = 0; i < max_cycles && !dog.tripped(); ++i) {
-    eng.step();
-    ++r.cycles;
-  }
-  r.deadlocked = dog.tripped();
-  return r;
+  return run_guarded_to_extinction(eng, dog, max_cycles);
 }
 
 ReplayResult replay(const PostMortem& pm) {

@@ -276,11 +276,19 @@ std::uint64_t ScalarEngine::fires(graph::NodeId process) const {
   return fire_count_[p.node_index[process]];
 }
 
+std::uint64_t ScalarEngine::env_period() const {
+  std::uint64_t period = 1;
+  for (const auto& pat : sink_pattern_) {
+    period = skeleton::env_period_of(period, pat.size());
+  }
+  return period;
+}
+
 std::string ScalarEngine::state_signature() const {
   // Serializes the same protocol state as Skeleton::state_signature()
-  // (including its 16-bit port-mask truncation), minus the interpreter's
-  // input-queue bytes — identically zero in the simplified-shell mode
-  // xir supports — so rho detection fires on exactly the same cycle in
+  // (same pending-mask widths), minus the interpreter's input-queue
+  // bytes — identically zero in the simplified-shell mode xir
+  // supports — so rho detection fires on exactly the same cycle in
   // both engines even though the byte strings differ in layout.
   const Program& p = *prog_;
   std::string s;
@@ -293,8 +301,9 @@ std::string ScalarEngine::state_signature() const {
            b < p.port_br_begin[port + 1]; ++b) {
         if (pend_[b]) mask |= 1u << (b - p.port_br_begin[port]);
       }
-      s.push_back(static_cast<char>(mask & 0xff));
-      s.push_back(static_cast<char>((mask >> 8) & 0xff));
+      skeleton::append_pend_mask(
+          s, mask, p.port_br_begin[port + 1] - p.port_br_begin[port],
+          skeleton::kShellPortMaskBytes);
     }
   }
   for (std::size_t src = 0; src < p.num_sources(); ++src) {
@@ -303,7 +312,9 @@ std::string ScalarEngine::state_signature() const {
          ++b) {
       if (src_pend_[b]) mask |= 1u << (b - p.src_br_begin[src]);
     }
-    s.push_back(static_cast<char>(mask & 0xff));
+    skeleton::append_pend_mask(s, mask,
+                               p.src_br_begin[src + 1] - p.src_br_begin[src],
+                               skeleton::kSourceMaskBytes);
   }
   for (std::size_t st = 0; st < p.num_stations(); ++st) {
     char b = static_cast<char>(st_occ_[st]);

@@ -311,8 +311,9 @@ std::string SlicedEngine::lane_signature(std::size_t lane) const {
            b < p.port_br_begin[port + 1]; ++b) {
         if (pend_w_[b] & bit) mask |= 1u << (b - p.port_br_begin[port]);
       }
-      s.push_back(static_cast<char>(mask & 0xff));
-      s.push_back(static_cast<char>((mask >> 8) & 0xff));
+      skeleton::append_pend_mask(
+          s, mask, p.port_br_begin[port + 1] - p.port_br_begin[port],
+          skeleton::kShellPortMaskBytes);
     }
   }
   for (std::size_t src = 0; src < p.num_sources(); ++src) {
@@ -321,7 +322,9 @@ std::string SlicedEngine::lane_signature(std::size_t lane) const {
          ++b) {
       if (src_pend_w_[b] & bit) mask |= 1u << (b - p.src_br_begin[src]);
     }
-    s.push_back(static_cast<char>(mask & 0xff));
+    skeleton::append_pend_mask(s, mask,
+                               p.src_br_begin[src + 1] - p.src_br_begin[src],
+                               skeleton::kSourceMaskBytes);
   }
   for (std::size_t st = 0; st < p.num_stations(); ++st) {
     const unsigned occ = ((occ1_[st] & bit) ? 1u : 0u) +

@@ -12,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "liplib/campaign/jobs.hpp"
 #include "liplib/campaign/report.hpp"
@@ -22,6 +25,7 @@
 #include "liplib/support/metrics.hpp"
 #include "liplib/telemetry/bench_diff.hpp"
 #include "liplib/telemetry/watchdog.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -140,7 +144,14 @@ TEST(Watchdog, ReconvergentDegradedThroughputNeverTrips) {
   const auto run = telemetry::run_guarded(sk, dog, 5000);
   EXPECT_FALSE(dog.tripped());
   EXPECT_FALSE(run.deadlocked);
-  EXPECT_EQ(run.cycles, 5000u);
+  // run_guarded stops at transient extinction; an independent watchdog
+  // stepped through the whole 5000 cycles stays silent too.
+  skeleton::Skeleton full(gen.topo);
+  telemetry::Watchdog full_dog;
+  full_dog.attach(full);
+  full.run(5000);
+  EXPECT_FALSE(full_dog.tripped());
+  EXPECT_LT(run.cycles, 5000u);
 }
 
 TEST(Watchdog, HundredCompositeCorpusHasNoFalsePositives) {
@@ -158,6 +169,187 @@ TEST(Watchdog, HundredCompositeCorpusHasNoFalsePositives) {
     telemetry::run_guarded(sk, dog, 1500);
     EXPECT_FALSE(dog.tripped()) << "composite " << i;
   }
+}
+
+// ---- early exit at transient extinction ---------------------------------
+
+/// Everything a caller reads off a guarded run: the verdict, its cycle
+/// indices and the post-mortem bundle bytes.
+struct GuardOutcome {
+  bool tripped = false;
+  telemetry::TripReason reason = telemetry::TripReason::kNone;
+  std::uint64_t trip_cycle = 0;
+  std::uint64_t no_progress_since = 0;
+  std::string post_mortem;
+  std::uint64_t cycles = 0;
+};
+
+GuardOutcome outcome_of(const telemetry::Watchdog& dog, std::uint64_t cycles) {
+  GuardOutcome o;
+  o.tripped = dog.tripped();
+  o.reason = dog.reason();
+  o.trip_cycle = dog.trip_cycle();
+  o.no_progress_since = dog.no_progress_since();
+  if (o.tripped) o.post_mortem = dog.post_mortem().to_json().dump();
+  o.cycles = cycles;
+  return o;
+}
+
+/// The oracle: a watchdog stepped by hand through the whole budget,
+/// stopping only at a trip, as every guard caller does (the probe keeps
+/// counting after a trip, so stepping on would change the bundle's
+/// blame histogram).
+template <typename Engine>
+GuardOutcome hand_stepped(Engine& eng, telemetry::Watchdog& dog,
+                          std::uint64_t budget) {
+  std::uint64_t cycles = 0;
+  while (cycles < budget && !dog.tripped()) {
+    eng.step();
+    ++cycles;
+  }
+  return outcome_of(dog, cycles);
+}
+
+template <typename Engine>
+GuardOutcome guarded(Engine& eng, telemetry::Watchdog& dog,
+                     std::uint64_t budget) {
+  const auto run = telemetry::run_guarded(eng, dog, budget);
+  EXPECT_EQ(run.deadlocked, dog.tripped());
+  return outcome_of(dog, run.cycles);
+}
+
+void expect_same_outcome(const GuardOutcome& want, const GuardOutcome& got,
+                         const std::string& what) {
+  ASSERT_EQ(want.tripped, got.tripped) << what;
+  EXPECT_EQ(want.reason, got.reason) << what;
+  EXPECT_EQ(want.trip_cycle, got.trip_cycle) << what;
+  EXPECT_EQ(want.no_progress_since, got.no_progress_since) << what;
+  EXPECT_EQ(want.post_mortem, got.post_mortem) << what;
+  if (want.tripped) {
+    EXPECT_EQ(want.cycles, got.cycles) << what;
+  }
+}
+
+/// A fresh engine of one screening scenario under its own watchdog.
+template <typename Engine>
+struct GuardedEngine {
+  Engine eng;
+  telemetry::Watchdog dog;
+  GuardedEngine(const graph::Topology& topo,
+                const skeleton::SkeletonOptions& sopts, bool worst_case)
+      : eng(topo, sopts), dog(watchdog_options(worst_case)) {
+    if (worst_case) eng.saturate_stations();
+    dog.attach(eng);
+  }
+  static telemetry::WatchdogOptions watchdog_options(bool worst_case) {
+    telemetry::WatchdogOptions o;
+    o.worst_case_occupancy = worst_case;
+    return o;
+  }
+};
+
+/// Upper bound on the cycles run_guarded steps on a live run whose
+/// (state, phase) sequence has transient mu and period lambda: Brent's
+/// checkpoint p = 2^k - 1 is the first with p >= mu and 2^k >= lambda,
+/// the repeat shows at p + lambda, and one more period is observed.
+std::uint64_t early_exit_bound(std::uint64_t mu, std::uint64_t lambda) {
+  std::uint64_t p = 1;
+  while (p - 1 < mu || p < lambda) p *= 2;
+  return p - 1 + 2 * lambda;
+}
+
+TEST(WatchdogEarlyExit, MatchesFullBudgetOnRandomComposites) {
+  // Live, starved and deadlocked dynamics: half stations are allowed
+  // inside loops for half the draws, so worst-case occupancy trips the
+  // watchdog on part of the corpus.  The oracle is the interpreter
+  // stepped by hand; both engines' early exits must match it.
+  constexpr std::uint64_t kBudget = 512;
+  constexpr int kDesigns = 1000;
+  std::uint64_t trips = 0, live_runs = 0, live_cycles = 0, bounded_runs = 0;
+  for (int i = 0; i < kDesigns; ++i) {
+    Rng rng(campaign::job_seed(0xE71, static_cast<std::uint64_t>(i)));
+    const std::size_t segments = 1 + rng.below(4);
+    const bool risky = (i % 2) == 1;
+    const auto topo = graph::make_random_composite(
+                          rng, segments, /*allow_half=*/true,
+                          /*allow_half_in_loops=*/risky)
+                          .topo;
+    for (const bool worst_case : {false, true}) {
+      for (const auto policy : {lip::StopPolicy::kCasuDiscardOnVoid,
+                                lip::StopPolicy::kCarloniStrict}) {
+        skeleton::SkeletonOptions sopts;
+        sopts.policy = policy;
+        const std::string what =
+            "design " + std::to_string(i) +
+            (worst_case ? " worst-case" : " reset") +
+            (policy == lip::StopPolicy::kCarloniStrict ? " strict" : " casu");
+
+        GuardedEngine<skeleton::Skeleton> oracle(topo, sopts, worst_case);
+        const GuardOutcome want = hand_stepped(oracle.eng, oracle.dog, kBudget);
+        GuardedEngine<skeleton::Skeleton> interp(topo, sopts, worst_case);
+        const GuardOutcome got = guarded(interp.eng, interp.dog, kBudget);
+        expect_same_outcome(want, got, what + " interp");
+        GuardedEngine<xir::ScalarEngine> compiled(topo, sopts, worst_case);
+        const GuardOutcome got_compiled =
+            guarded(compiled.eng, compiled.dog, kBudget);
+        expect_same_outcome(want, got_compiled, what + " compiled");
+        EXPECT_EQ(got.cycles, got_compiled.cycles) << what;
+        if (got.tripped) {
+          ++trips;
+          continue;
+        }
+        ++live_runs;
+        live_cycles += got.cycles;
+        // Live runs stop at transient extinction: within Brent's bound
+        // of the steady state an independent analysis finds, and so
+        // inside the budget whenever that bound is.
+        skeleton::Skeleton sk(topo, sopts);
+        if (worst_case) sk.saturate_stations();
+        const auto steady = sk.analyze(kBudget);
+        if (!steady.found) continue;
+        const std::uint64_t bound =
+            early_exit_bound(steady.transient, steady.period);
+        EXPECT_LE(got.cycles, bound) << what;
+        if (bound < kBudget) {
+          EXPECT_LT(got.cycles, kBudget) << what;
+          ++bounded_runs;
+        }
+      }
+    }
+  }
+  // The corpus must exercise both verdicts or the test proves nothing.
+  EXPECT_GT(trips, 0u);
+  EXPECT_GT(bounded_runs, live_runs * 9 / 10);
+  EXPECT_LT(live_cycles / live_runs, kBudget / 8);
+}
+
+TEST(WatchdogEarlyExit, SinkPatternPhaseIsPartOfTheRepeatKey) {
+  // 10 go cycles, then 80 stop cycles: the greedy phase reaches a
+  // period-1 state within a few cycles, but the environment has period
+  // 90, and the stop window freezes the pipeline for longer than the
+  // threshold.  Full stepping trips; so must the early exit.
+  graph::Topology topo;
+  const graph::NodeId src = topo.add_source("src");
+  const graph::NodeId a = topo.add_process("a", 1, 1);
+  const graph::NodeId out = topo.add_sink("out");
+  topo.connect({src, 0}, {a, 0}, {RsKind::kFull});
+  topo.connect({a, 0}, {out, 0}, {RsKind::kFull});
+  std::vector<bool> pattern(90, true);
+  std::fill(pattern.begin(), pattern.begin() + 10, false);
+
+  auto run = [&](auto& eng, bool early_exit) {
+    eng.set_sink_pattern(out, pattern);
+    telemetry::Watchdog dog;
+    dog.attach(eng);
+    return early_exit ? guarded(eng, dog, 4096)
+                      : hand_stepped(eng, dog, 4096);
+  };
+  skeleton::Skeleton full_sk(topo), sk(topo);
+  const GuardOutcome want = run(full_sk, false);
+  ASSERT_TRUE(want.tripped);
+  expect_same_outcome(want, run(sk, true), "interp");
+  xir::ScalarEngine eng(topo);
+  expect_same_outcome(want, run(eng, true), "compiled");
 }
 
 TEST(Watchdog, FlightRecorderRingIsBounded) {

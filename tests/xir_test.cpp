@@ -169,6 +169,46 @@ TEST(XirSliced, LaneSignatureMatchesScalarEveryCycle) {
   }
 }
 
+// A source fanning out to 12 sinks, 4 of them with periodic stop
+// patterns.  Placed on branches 8..11, the evolving part of the source's
+// pending mask lies above bit 7: a one-byte source mask in the state
+// signature reports a false repeat after 1 cycle, while the full state
+// settles after 3 — wherever the patterned branches sit.
+TEST(XirSignature, WideSourceFanoutKeepsEveryPendingBit) {
+  const std::vector<std::vector<bool>> patterns = {
+      {true, true, false}, {false, true, true}, {true},
+      {true, false, true, true}};
+  constexpr std::uint64_t kEnvPeriod = 12;  // lcm(3, 3, 1, 4)
+  for (const std::size_t first : {std::size_t{0}, std::size_t{8}}) {
+    graph::Topology topo;
+    const graph::NodeId src = topo.add_source("src");
+    std::vector<graph::NodeId> sinks;
+    for (std::size_t b = 0; b < 12; ++b) {
+      sinks.push_back(topo.add_sink("k" + std::to_string(b)));
+      topo.connect({src, 0}, {sinks.back(), 0});
+    }
+    skeleton::Skeleton sk(topo);
+    xir::ScalarEngine eng(topo);
+    xir::SlicedEngine sliced(topo, {}, 1);
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      sk.set_sink_pattern(sinks[first + i], patterns[i]);
+      eng.set_sink_pattern(sinks[first + i], patterns[i]);
+      sliced.set_sink_pattern(sinks[first + i], patterns[i]);
+    }
+    ASSERT_EQ(sk.env_period(), kEnvPeriod);
+    ASSERT_EQ(eng.env_period(), kEnvPeriod);
+    const std::string what = "patterns on branches " + std::to_string(first) +
+                             ".." + std::to_string(first + 3);
+    const auto interp = sk.analyze(1u << 12, kEnvPeriod);
+    const auto compiled = eng.analyze(1u << 12, kEnvPeriod);
+    const auto lane = sliced.analyze(1u << 12, kEnvPeriod)[0].result;
+    ASSERT_TRUE(interp.found) << what;
+    EXPECT_EQ(interp.transient, 3u) << what;
+    expect_same_result(interp, compiled, what + " compiled");
+    expect_same_result(interp, lane, what + " sliced");
+  }
+}
+
 TEST(XirSliced, SixtyFourVariantLanesMatchInterpreter) {
   // A composite with loops so half-station variants actually diverge
   // (some lanes deadlock from worst-case occupancy, others stay live).
