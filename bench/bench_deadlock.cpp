@@ -13,6 +13,7 @@
 #include "bench_util.hpp"
 #include "liplib/graph/generators.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "liplib/support/table.hpp"
 
 using namespace liplib;
@@ -110,7 +111,7 @@ int main() {
         std::vector<std::size_t>(name_sizes.second, 1), RsKind::kHalf).topo;
     skeleton::ScreeningOptions opts;
     opts.worst_case_occupancy = true;
-    const auto cure = skeleton::cure_deadlocks(topo, opts);
+    const auto cure = xir::cure_deadlocks(topo, opts);
     ct.add_row({name_sizes.first, std::to_string(cure.substitutions),
                 cure.success ? "yes" : "no",
                 cure.cured.total_stations() == topo.total_stations()

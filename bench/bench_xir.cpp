@@ -166,8 +166,7 @@ int main(int argc, char** argv) {
       });
   const auto [compiled_s, compiled_cycles, compiled_deadlocks] =
       screen_loop([&](const graph::Topology& t) {
-        return xir::screen_for_deadlock(t, sopts, kBudget,
-                                        xir::EngineMode::kCompiled);
+        return xir::screen_for_deadlock(t, sopts, kBudget);
       });
 
   std::uint64_t sliced_cycles = 0;

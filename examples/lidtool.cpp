@@ -89,8 +89,6 @@ structural commands (take a .lid netlist file):
     --postmortem FILE  on trip, write the post-mortem bundle (replayable
                        with `lidtool replay`) to FILE
   screen    <file.lid>          deadlock screening (reset + worst case)
-    --engine interp|compiled|sliced   skeleton evaluator (default interp;
-                       the xir engines are bit-identical, see docs/xir.md)
   prove     <file.lid>          static deadlock-freedom proof: exhaustive
                                 reachability, bounded model checking and
                                 k-induction over every sink-stop environment
@@ -103,7 +101,9 @@ structural commands (take a .lid netlist file):
                        --method induction)
     --budget N         distinct-state budget (default 2^20)
     --engine scalar|sliced   search frontier (default sliced, 64 states
-                       per settle pass; verdicts are identical)
+                       per settle pass; verdicts are identical; this picks
+                       prove's reference frontier, not a skeleton
+                       evaluator)
     --policy variant|strict  stop policy (default variant)
     --json             render the result as canonical JSON
     --postmortem FILE  write the counterexample's replayable
@@ -139,8 +139,8 @@ campaign commands (parallel mass simulation; see docs/campaign.md):
                                 mismatch failure)
   campaign mix <file.lid>       screen random half/full station-kind
                                 variants of one design from worst-case
-                                occupancy; the sliced engine (default)
-                                batches 64 variants per bit-parallel job
+                                occupancy, 64 variants per bit-parallel
+                                job
   campaign t1                   the EXPERIMENTS.md T1 fuzz pass
                                 (750 randomized runs) on the engine
   campaign options:
@@ -151,8 +151,6 @@ campaign commands (parallel mass simulation; see docs/campaign.md):
     --policy variant|strict|both   stop policy (default both for sweep,
                                    variant for fuzz)
     --shape composite|reconvergent|feedforward   fuzz topology shape
-    --engine interp|compiled|sliced   skeleton evaluator for sweep / fuzz
-                  / mix jobs (default interp; mix defaults to sliced)
     --variants N  mix: number of kind-variants to screen (default 64)
     --json PATH   write the aggregated report as JSON
     --csv PATH    write per-job results as CSV
@@ -174,7 +172,7 @@ distributed campaign commands (see docs/dist.md):
     --seed S       campaign base seed (default 1; decimal or 0x-hex)
     --budget B     per-job cycle budget (default 2^18)
     --lease-ms N   lease deadline before re-dispatch (default 30000)
-    --policy P / --shape S / --engine E   fuzz-job knobs as for campaign
+    --policy P / --shape S   fuzz-job knobs as for campaign
     --json PATH    write the merged aggregate as JSON
     --trace PATH   record the lease -> execute -> merge span timeline
                    (workers trace automatically when leases carry the
@@ -214,7 +212,6 @@ serve commands (the liplib.rpc/1 daemon; see docs/serve.md):
            prints the daemon's liplib.trace/1 span document)
     --port N       daemon port (default 7177)
     --policy P     variant | strict (screen / prove / campaign)
-    --engine E     interp | compiled | sliced (screen / prove / campaign)
     --budget N     cycle budget (screen / campaign); state budget (prove)
     --cycles N     cycles to simulate (profile)
     --method M     auto | reach | bmc | induction (prove)
@@ -389,8 +386,9 @@ int cmd_simulate(const graph::Topology& topo,
   // reported (with evidence) instead of silently draining the analyze
   // budget.  The guard stops at transient extinction, so a live design
   // pays for its transient about twice, not for the budget.
+  const xir::ProgramRef program = xir::lower(topo);
   {
-    skeleton::Skeleton guard(topo);
+    xir::ScalarEngine guard(program);
     if (worst_case) guard.saturate_stations();
     telemetry::WatchdogOptions wopts;
     wopts.worst_case_occupancy = worst_case;
@@ -407,9 +405,9 @@ int cmd_simulate(const graph::Topology& topo,
     }
   }
 
-  skeleton::Skeleton sk(topo);
-  if (worst_case) sk.saturate_stations();
-  const auto r = sk.analyze();
+  xir::ScalarEngine eng(program);
+  if (worst_case) eng.saturate_stations();
+  const auto r = eng.analyze();
   if (!r.found) {
     std::cout << "no steady state within budget\n";
     return 1;
@@ -429,17 +427,16 @@ int cmd_simulate(const graph::Topology& topo,
   return 0;
 }
 
-int cmd_screen(const graph::Topology& topo,
-               xir::EngineMode engine = xir::EngineMode::kInterp) {
+int cmd_screen(const graph::Topology& topo) {
   skeleton::ScreeningOptions reset;
-  const auto a = xir::screen_for_deadlock(topo, reset, 1u << 20, engine);
+  const auto a = xir::screen_for_deadlock(topo, reset);
   std::cout << "from reset: "
             << (a.deadlock_found ? "DEADLOCK" : "live, T = " +
                                                     a.min_throughput.str())
             << " (" << a.cycles_simulated << " skeleton cycles)\n";
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
-  const auto b = xir::screen_for_deadlock(topo, wc, 1u << 20, engine);
+  const auto b = xir::screen_for_deadlock(topo, wc);
   std::cout << "worst-case occupancy: "
             << (b.deadlock_found ? "DEADLOCK" : "live, T = " +
                                                     b.min_throughput.str())
@@ -452,8 +449,7 @@ int cmd_screen(const graph::Topology& topo,
                    b.cycles_simulated
             << " (reset " << a.cycles_simulated << " + worst-case "
             << b.cycles_simulated
-            << ") seed=0 (skeleton runs are deterministic) engine="
-            << xir::engine_mode_name(engine) << " verdict="
+            << ") seed=0 (skeleton runs are deterministic) verdict="
             << (bad ? "deadlock" : "live") << "\n";
   return bad ? 1 : 0;
 }
@@ -544,7 +540,7 @@ int cmd_prove(const graph::Topology& topo,
 int cmd_cure(const graph::Topology& topo) {
   skeleton::ScreeningOptions wc;
   wc.worst_case_occupancy = true;
-  const auto cure = skeleton::cure_deadlocks(topo, wc);
+  const auto cure = xir::cure_deadlocks(topo, wc);
   std::cout << "substitutions: " << cure.substitutions << "\n"
             << "result: " << (cure.success ? "deadlock free" : "NOT cured")
             << "\n\n"
@@ -776,11 +772,6 @@ struct CampaignArgs {
   std::size_t station_lo = 1, station_hi = 4;
   std::vector<lip::StopPolicy> policies;  // empty = command default
   campaign::FuzzSpec::Shape shape = campaign::FuzzSpec::Shape::kComposite;
-  /// Skeleton evaluator for screen/fuzz jobs (xir engines are verdict-
-  /// identical to the interpreter); `eval_set` records an explicit
-  /// --engine so modes with a different default (mix: sliced) keep it.
-  xir::EngineMode eval = xir::EngineMode::kInterp;
-  bool eval_set = false;
   std::size_t variants = 64;  ///< campaign mix: kind variants to screen
   std::string json_path;
   std::string csv_path;
@@ -896,12 +887,6 @@ CampaignArgs parse_campaign_args(int argc, char** argv, int first) {
       } else {
         throw ApiError("unknown fuzz shape '" + v + "'");
       }
-    } else if (a == "--engine") {
-      const std::string v = value("--engine");
-      LIPLIB_EXPECT(xir::parse_engine_mode(v, &args.eval),
-                    "unknown engine '" + v +
-                        "' (expected interp | compiled | sliced)");
-      args.eval_set = true;
     } else if (a == "--variants") {
       args.variants = static_cast<std::size_t>(
           parse_u64(value("--variants"), "--variants"));
@@ -980,8 +965,7 @@ int run_shard_and_export(const std::vector<campaign::Job>& jobs,
   const auto results = campaign::Engine(eopts).run(slice, &stats);
   const auto agg = campaign::aggregate(results);
   const auto manifest = dist::make_manifest(
-      args.spec_id, jobs.size(), eopts.base_seed, eopts.cycle_budget,
-      xir::engine_mode_name(args.eval), range);
+      args.spec_id, jobs.size(), eopts.base_seed, eopts.cycle_budget, range);
   std::ofstream os(args.out_path);
   if (!os) {
     std::cerr << "cannot write " << args.out_path << "\n";
@@ -1039,8 +1023,7 @@ int cmd_campaign_sweep(const graph::Topology& base, CampaignArgs args) {
                  std::to_string(serve::topology_hash(base)) +
                  ";stations=" + std::to_string(args.station_lo) + ":" +
                  std::to_string(args.station_hi) +
-                 ";policies=" + policies_label(args.policies) +
-                 ";engine=" + xir::engine_mode_name(args.eval);
+                 ";policies=" + policies_label(args.policies);
   std::vector<campaign::Job> jobs;
   for (std::size_t k = args.station_lo; k <= args.station_hi; ++k) {
     graph::Topology variant = base;
@@ -1060,7 +1043,7 @@ int cmd_campaign_sweep(const graph::Topology& base, CampaignArgs args) {
       opts.policy = policy;
       jobs.push_back(campaign::make_steady_state_job(
           "sweep/st=" + std::to_string(k) + "/" + policy_label(policy),
-          variant, opts, args.eval));
+          variant, opts));
     }
   }
   return run_campaign_and_report(jobs, args);
@@ -1074,14 +1057,12 @@ int cmd_campaign_fuzz(std::size_t n, CampaignArgs args) {
   }
   args.spec_id = "lidtool/fuzz;n=" + std::to_string(n) +
                  ";shape=" + shape_label(args.shape) +
-                 ";policies=" + policies_label(args.policies) +
-                 ";engine=" + xir::engine_mode_name(args.eval);
+                 ";policies=" + policies_label(args.policies);
   std::vector<campaign::Job> jobs;
   for (std::size_t i = 0; i < n; ++i) {
     campaign::FuzzSpec spec;
     spec.shape = args.shape;
     spec.policy = args.policies[i % args.policies.size()];
-    spec.engine = args.eval;
     spec.size = 4;
     jobs.push_back(campaign::make_fuzz_job(
         "fuzz/" + std::to_string(i) + "/" + policy_label(spec.policy),
@@ -1091,24 +1072,19 @@ int cmd_campaign_fuzz(std::size_t n, CampaignArgs args) {
 }
 
 /// `campaign mix <file.lid>`: screen N random half/full station-kind
-/// variants of one design from worst-case occupancy.  Under the sliced
-/// engine (the default here) the campaign batches 64 variants per job
-/// into one bit-parallel evaluation.
+/// variants of one design from worst-case occupancy, batched 64 variants
+/// per job into one bit-parallel evaluation.
 int cmd_campaign_mix(graph::Topology topo, CampaignArgs args) {
   campaign::MixScreenSpec spec;
   spec.topo = std::move(topo);
   if (!args.policies.empty()) spec.skeleton.policy = args.policies.front();
   spec.variants = args.variants;
-  spec.engine = args.eval_set ? args.eval : xir::EngineMode::kSliced;
-  args.eval = spec.engine;  // the manifest names the engine actually run
   args.spec_id = "lidtool/mix;netlist=" +
                  std::to_string(serve::topology_hash(spec.topo)) +
                  ";variants=" + std::to_string(spec.variants) +
-                 ";policy=" + policy_label(spec.skeleton.policy) +
-                 ";engine=" + xir::engine_mode_name(spec.engine);
+                 ";policy=" + policy_label(spec.skeleton.policy);
   std::cout << "screening " << spec.variants
-            << " station-kind variants, engine "
-            << xir::engine_mode_name(spec.engine) << "\n\n";
+            << " station-kind variants\n\n";
   return run_campaign_and_report(campaign::make_mix_screen_campaign(spec),
                                  args);
 }
@@ -1301,11 +1277,6 @@ int cmd_dist_coordinate(int argc, char** argv) {
       } else {
         throw ApiError("unknown fuzz shape '" + v + "'");
       }
-    } else if (a == "--engine") {
-      const std::string v = value("--engine");
-      LIPLIB_EXPECT(xir::parse_engine_mode(v, &opts.spec.engine),
-                    "unknown engine '" + v +
-                        "' (expected interp | compiled | sliced)");
     } else if (a == "--json") {
       json_path = value("--json");
     } else if (a == "--trace") {
@@ -1620,8 +1591,6 @@ int cmd_client(int argc, char** argv) {
       port = static_cast<std::uint16_t>(parse_u64(value("--port"), "--port"));
     } else if (a == "--policy") {
       request.set("policy", value("--policy"));
-    } else if (a == "--engine") {
-      request.set("engine", value("--engine"));
     } else if (a == "--budget") {
       request.set("budget", parse_u64(value("--budget"), "--budget"));
     } else if (a == "--cycles") {
@@ -1895,21 +1864,8 @@ int main(int argc, char** argv) {
       return cmd_simulate(topo, rest);
     }
     if (cmd == "screen") {
-      xir::EngineMode engine = xir::EngineMode::kInterp;
-      for (std::size_t i = 0; i < rest.size(); ++i) {
-        if (rest[i] == "--engine") {
-          LIPLIB_EXPECT(i + 1 < rest.size(), "--engine requires a value");
-          const std::string v = rest[++i];
-          LIPLIB_EXPECT(xir::parse_engine_mode(v, &engine),
-                        "unknown engine '" + v +
-                            "' (expected interp | compiled | sliced)");
-        } else {
-          std::cerr << "unknown screen option '" << rest[i] << "'\n\n"
-                    << kUsage;
-          return 2;
-        }
-      }
-      return cmd_screen(topo, engine);
+      if (reject_extras("screen")) return 2;
+      return cmd_screen(topo);
     }
     if (cmd == "prove") {
       return cmd_prove(topo, rest);

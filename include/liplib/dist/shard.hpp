@@ -75,18 +75,13 @@ struct ShardManifest {
   std::size_t total_jobs = 0;
   std::uint64_t base_seed = 1;
   std::uint64_t cycle_budget = 0;
-  /// Skeleton evaluator name ("interp" | "compiled" | "sliced").
-  /// Engines are verdict-identical, but a plan runs one engine and the
-  /// merge rejects mixtures so a partial always names its provenance.
-  std::string engine = "interp";
   ShardRange shard;
 };
 
 /// Builds a manifest (fills campaign_hash from the spec string).
 ShardManifest make_manifest(const std::string& campaign_spec,
                             std::size_t total_jobs, std::uint64_t base_seed,
-                            std::uint64_t cycle_budget,
-                            const std::string& engine, ShardRange shard);
+                            std::uint64_t cycle_budget, ShardRange shard);
 
 /// "liplib.shard/1" document of a manifest / its strict inverse.
 /// manifest_from_json throws ApiError on malformed documents, on a
@@ -111,7 +106,7 @@ Partial partial_from_json(const Json& doc);
 
 /// Validates and merges partials into the campaign's full aggregate:
 /// every manifest must name the same campaign (spec string, hash,
-/// total_jobs, base_seed, cycle_budget, engine) and the shard ranges
+/// total_jobs, base_seed, cycle_budget) and the shard ranges
 /// must tile [0, total_jobs) exactly — duplicates, gaps and overlaps
 /// are all rejected with ApiError.  The fold runs in range order, so
 /// the result is byte-identical (via campaign::to_json) to
@@ -119,7 +114,7 @@ Partial partial_from_json(const Json& doc);
 campaign::Aggregate merge_partials(std::vector<Partial> parts);
 
 /// Canonical spec string of a named campaign
-/// ("mode=fuzz;jobs=300;policy=variant;shape=composite;engine=interp")
+/// ("mode=fuzz;jobs=300;policy=variant;shape=composite")
 /// and its strict inverse.  This is the wire form the coordinator
 /// leases to workers; both sides rebuild the identical job vector from
 /// it via campaign::make_named_campaign.

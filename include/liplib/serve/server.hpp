@@ -93,14 +93,14 @@ struct ServeContext {
   /// execute children); scraped via the `trace` request kind.
   trace::Recorder recorder;
   /// Every counter, behind both `metrics` (Prometheus text) and `status`
-  /// (JSON): request latency histograms, request/error/deadlock counts,
-  /// per-engine cache hits/misses and cache occupancy.  Self-synchronized.
+  /// (JSON): request latency histograms, request/error/deadlock counts
+  /// and cache occupancy.  Self-synchronized.
   metrics::MetricsRegistry registry;
 
   std::atomic<bool> draining{false};  ///< set by a shutdown request
 
   /// Counter snapshot for the status document (schema
-  /// "liplib.serve.status/2"), read from `registry` in one step;
+  /// "liplib.serve.status/3"), read from `registry` in one step;
   /// includes the cache counters plus the top-level `evictions` counter
   /// and `cache_bytes` gauge.
   Json status_json();

@@ -10,6 +10,10 @@
 // those of lip::System (the test suite locks the two together), but its
 // state is a few bytes per block, which makes transient-extinction
 // screening essentially free.
+//
+// This interpreter is the reference oracle.  Production screening runs
+// the compiled xir::ScalarEngine over the same semantics; the
+// differential tests and benches hold the two together.
 
 #pragma once
 
@@ -211,25 +215,18 @@ struct ScreeningOptions {
   bool worst_case_occupancy = false;
 };
 
+/// The reference screen on the interpreter: the oracle that the
+/// differential tests and benches hold xir::screen_for_deadlock to.
 ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
                                      ScreeningOptions opts = {},
                                      std::uint64_t max_cycles = 1u << 20);
 
-/// Paper's cure: "the cases that inject deadlocks can be cured by low
-/// intrusive changes (adding/substituting few relay stations)".  This
-/// upgrades half relay stations to full ones — preferring channels on
-/// cycles that feed starved shells — re-screening after each
-/// substitution, until the design is deadlock free or no half stations
-/// remain on cycles.
+/// Outcome of xir::cure_deadlocks.
 struct CureResult {
   graph::Topology cured;
   bool success = false;
   std::size_t substitutions = 0;
   std::vector<graph::ChannelId> touched_channels;
 };
-
-CureResult cure_deadlocks(const graph::Topology& topo,
-                          ScreeningOptions opts = {},
-                          std::uint64_t max_cycles = 1u << 20);
 
 }  // namespace liplib::skeleton

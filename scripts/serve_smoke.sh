@@ -5,8 +5,9 @@
 # campaign, including a design with a deliberate worst-case deadlock),
 # check that the daemon's screen of examples/designs/half_ring.lid trips
 # at the cycle `lidtool simulate --worst-case` reports and that a live
-# design stays live under a 2^20 budget,
-# then assert via `status` that the cache actually served hits, that
+# design stays live under a 2^20 budget, that a 2,000-shell half-station
+# chain screens and simulates within 30 s each (in lidtool and in the
+# daemon), then assert via `status` that the cache actually served hits, that
 # the deadlock was answered as a verdict (not a hang), that 2,000
 # sequential connect-per-request `status` calls leave the daemon's
 # VmSize under 1 GiB (finished connection threads are joined, not
@@ -90,8 +91,8 @@ client() { "$lidtool" client "$@" --port "$port"; }
 # ---- 100 mixed requests -------------------------------------------------
 
 # 24 rounds x 4 request kinds = 96, plus 2 campaigns, plus the 2
-# early-exit screens and the final status + shutdown below = 102 frames
-# total.  After round one, every lint/screen/profile answer must be a
+# early-exit screens, the chain screen and the final status + shutdown
+# below = 103 frames total.  After round one, every lint/screen/profile answer must be a
 # cache hit.
 requests=0
 deadlock_answers=0
@@ -150,20 +151,46 @@ grep -q '"verdict": "live"' "$work/fig1_budget.json" \
 requests=$((requests + 2))
 echo "serve_smoke: half_ring trips at cycle $sim_trip ($sim_reason) in both the daemon and simulate"
 
+# ---- a long chain screens in seconds ------------------------------------
+
+# source -> 2,000 shells -> sink, every hop through a half relay station:
+# the compiled evaluator settles the stop chain in one ordered pass per
+# cycle, where an interpreter's repeated sweeps grow quadratically.
+chain="$work/chain.lid"
+{
+  echo "source src"
+  printf 'process s%d 1 1\n' $(seq 1 2000)
+  echo "sink out"
+  echo "channel src.0 -> s1.0 : H"
+  for i in $(seq 1 1999); do
+    printf 'channel s%d.0 -> s%d.0 : H\n' "$i" $((i + 1))
+  done
+  echo "channel s2000.0 -> out.0 : H"
+} > "$chain"
+timeout 30 "$lidtool" screen "$chain" > "$work/chain_screen.txt" \
+  || fail "lidtool screen of the 2,000-shell chain failed or took over 30 s"
+grep -q 'verdict=live' "$work/chain_screen.txt" \
+  || fail "lidtool screen of the 2,000-shell chain was not live"
+timeout 30 "$lidtool" simulate "$chain" > "$work/chain_simulate.txt" \
+  || fail "lidtool simulate of the 2,000-shell chain failed or took over 30 s"
+grep -q '^summary: simulate .* T=1$' "$work/chain_simulate.txt" \
+  || fail "lidtool simulate of the 2,000-shell chain was not live at T=1"
+timeout 30 "$lidtool" client screen "$chain" --port "$port" \
+  > "$work/chain_daemon.json" \
+  || fail "daemon screen of the 2,000-shell chain failed or took over 30 s"
+grep -q '"verdict": "live"' "$work/chain_daemon.json" \
+  || fail "daemon screen of the 2,000-shell chain was not live"
+requests=$((requests + 1))
+echo "serve_smoke: 2,000-shell half-station chain live in screen, simulate and the daemon"
+
 echo "serve_smoke: $requests requests served, $deadlock_answers deadlock verdicts"
 
 # ---- status: the cache must have served hits ----------------------------
 
 client status > "$work/status.json" || fail "status request failed"
 get() { sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" "$work/status.json" | head -n1; }
-# "hits" also appears in the per-engine counters, which render before
-# the cache section — scope the cache lookup to its object.
-cache_get() {
-  sed -n '/"cache"/,/}/p' "$work/status.json" |
-    sed -n "s/.*\"$1\": \([0-9][0-9]*\).*/\1/p" | head -n1
-}
 
-hits="$(cache_get hits)"
+hits="$(get hits)"
 total="$(get total)"
 verdicts="$(get deadlock_verdicts)"
 [ -n "$hits" ] || fail "status did not report cache hits"
@@ -171,8 +198,9 @@ verdicts="$(get deadlock_verdicts)"
   || fail "status reports $total requests, want $((requests + 1))"
 # 4 distinct cache keys (lint/screen/profile of fig1, screen of the
 # deadlock ring) computed once each + 1 campaign key + the 2 early-exit
-# screens: everything else must have come from the cache.
-[ "$hits" -ge $((requests - 10)) ] \
+# screens + the chain screen: everything else must have come from the
+# cache.
+[ "$hits" -ge $((requests - 11)) ] \
   || fail "only $hits cache hits across $requests requests"
 # deadlock_verdicts counts watchdog-tripped computations; the 23 repeat
 # answers came from the cache without re-running the watchdog.

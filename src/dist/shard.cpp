@@ -4,7 +4,6 @@
 
 #include "liplib/serve/cache.hpp"
 #include "liplib/support/check.hpp"
-#include "liplib/xir/xir.hpp"
 
 namespace liplib::dist {
 
@@ -83,15 +82,13 @@ std::pair<std::size_t, std::size_t> parse_shard_token(
 
 ShardManifest make_manifest(const std::string& campaign_spec,
                             std::size_t total_jobs, std::uint64_t base_seed,
-                            std::uint64_t cycle_budget,
-                            const std::string& engine, ShardRange shard) {
+                            std::uint64_t cycle_budget, ShardRange shard) {
   ShardManifest m;
   m.campaign = campaign_spec;
   m.campaign_hash = serve::fnv1a64(campaign_spec);
   m.total_jobs = total_jobs;
   m.base_seed = base_seed;
   m.cycle_budget = cycle_budget;
-  m.engine = engine;
   m.shard = shard;
   return m;
 }
@@ -104,7 +101,6 @@ Json manifest_to_json(const ShardManifest& m) {
       .set("total_jobs", static_cast<std::uint64_t>(m.total_jobs))
       .set("base_seed", m.base_seed)
       .set("cycle_budget", m.cycle_budget)
-      .set("engine", m.engine)
       .set("shard",
            Json::object()
                .set("index", static_cast<std::uint64_t>(m.shard.index))
@@ -127,10 +123,6 @@ ShardManifest manifest_from_json(const Json& doc) {
   m.total_jobs = static_cast<std::size_t>(uint_of(doc, "total_jobs"));
   m.base_seed = uint_of(doc, "base_seed");
   m.cycle_budget = uint_of(doc, "cycle_budget");
-  m.engine = string_of(doc, "engine");
-  xir::EngineMode mode;
-  LIPLIB_EXPECT(xir::parse_engine_mode(m.engine, &mode),
-                "shard manifest: unknown engine '" + m.engine + "'");
   const Json* shard = doc.find("shard");
   LIPLIB_EXPECT(shard && shard->is_object(),
                 "shard manifest: field 'shard' must be an object");
@@ -196,8 +188,6 @@ campaign::Aggregate merge_partials(std::vector<Partial> parts) {
                   "merge: partials disagree on base_seed");
     LIPLIB_EXPECT(m.cycle_budget == ref.cycle_budget,
                   "merge: partials disagree on cycle_budget");
-    LIPLIB_EXPECT(m.engine == ref.engine,
-                  "merge: partials disagree on engine");
   }
   std::sort(parts.begin(), parts.end(),
             [](const Partial& a, const Partial& b) {
@@ -230,7 +220,6 @@ std::string named_campaign_to_string(
   s += ";jobs=" + std::to_string(spec.jobs);
   s += ";policy=" + std::string(policy_name(spec.policy));
   s += ";shape=" + std::string(shape_name(spec.shape));
-  s += ";engine=" + std::string(xir::engine_mode_name(spec.engine));
   return s;
 }
 
@@ -281,9 +270,6 @@ campaign::NamedCampaignSpec named_campaign_from_string(
                       "campaign spec: unknown shape '" + value + "'");
         spec.shape = campaign::FuzzSpec::Shape::kComposite;
       }
-    } else if (key == "engine") {
-      LIPLIB_EXPECT(xir::parse_engine_mode(value, &spec.engine),
-                    "campaign spec: unknown engine '" + value + "'");
     } else {
       throw ApiError("campaign spec: unknown field '" + key + "'");
     }

@@ -31,8 +31,6 @@ constexpr const char* kRequestErrorsMetric =
     "liplib_serve_request_errors_total";
 constexpr const char* kDeadlockVerdictsMetric =
     "liplib_serve_deadlock_verdicts_total";
-constexpr const char* kEngineCacheMetric =
-    "liplib_serve_engine_cache_lookups_total";
 
 }  // namespace
 
@@ -44,7 +42,7 @@ ServeContext::ServeContext(ServerOptions options,
       recorder(std::move(now_us)) {
   registry.describe(
       kLatencyMetric, metrics::MetricType::kHistogram,
-      "Request latency in microseconds by kind, engine and cache outcome.");
+      "Request latency in microseconds by kind and cache outcome.");
   registry.describe(kRequestsMetric, metrics::MetricType::kCounter,
                     "Well-formed requests received, by kind.");
   registry.describe(kProtocolErrorsMetric, metrics::MetricType::kCounter,
@@ -53,9 +51,6 @@ ServeContext::ServeContext(ServerOptions options,
                     "Well-formed requests that failed.");
   registry.describe(kDeadlockVerdictsMetric, metrics::MetricType::kCounter,
                     "Computed answers carrying a deadlock verdict.");
-  registry.describe(kEngineCacheMetric, metrics::MetricType::kCounter,
-                    "Cache lookups of engine-keyed requests (screen, "
-                    "campaign) by engine and outcome.");
   registry.describe("liplib_serve_cache_bytes", metrics::MetricType::kGauge,
                     "Result cache occupancy in bytes.");
   registry.describe("liplib_serve_cache_entries", metrics::MetricType::kGauge,
@@ -67,7 +62,6 @@ ServeContext::ServeContext(ServerOptions options,
 
 Json ServeContext::status_json() {
   Json requests = Json::object();
-  Json engines = Json::object();
   std::int64_t inflight = 0;
   {
     const auto m = registry.read();
@@ -91,30 +85,18 @@ Json ServeContext::status_json() {
         .set("request_errors", m.counter_value(kRequestErrorsMetric, {}))
         .set("deadlock_verdicts",
              m.counter_value(kDeadlockVerdictsMetric, {}));
-    for (int e = 0; e < 3; ++e) {
-      const char* engine =
-          xir::engine_mode_name(static_cast<xir::EngineMode>(e));
-      auto lookups = [&](const char* cache) {
-        return m.counter_value(kEngineCacheMetric,
-                               {{"engine", engine}, {"cache", cache}});
-      };
-      engines.set(engine, Json::object()
-                              .set("hits", lookups("hit"))
-                              .set("misses", lookups("miss")));
-    }
   }
   const CacheStats cs = cache.stats();
   return Json::object()
-      .set("schema", "liplib.serve.status/2")
+      .set("schema", "liplib.serve.status/3")
       .set("draining", draining.load())
       .set("inflight", inflight)
       // Top-level eviction / occupancy mirrors of the cache block, so a
       // dashboard can alert on byte-budget pressure without digging into
-      // the nested document (the /2 additions; every /1 field remains).
+      // the nested document.
       .set("evictions", cs.evictions)
       .set("cache_bytes", static_cast<std::uint64_t>(cs.bytes))
       .set("requests", std::move(requests))
-      .set("engines", std::move(engines))
       .set("cache", cache.stats_json())
       .set("config",
            Json::object()
@@ -142,13 +124,6 @@ std::string hex64(std::uint64_t v) {
 lip::StopPolicy policy_of(const Request& req) {
   return req.policy == "strict" ? lip::StopPolicy::kCarloniStrict
                                 : lip::StopPolicy::kCasuDiscardOnVoid;
-}
-
-xir::EngineMode engine_of(const Request& req) {
-  xir::EngineMode m = xir::EngineMode::kInterp;
-  // parse_request already validated the name; the fallback never fires.
-  xir::parse_engine_mode(req.engine, &m);
-  return m;
 }
 
 /// Request budget clamped to the server's ceiling (tenants may ask for
@@ -211,38 +186,21 @@ Computed compute_lint(const ParsedDesign& d) {
 /// A deadlocked design yields a verdict object carrying the post-mortem
 /// bundle instead of wedging the worker on a drained budget.  The guard
 /// stops at transient extinction, so a live design costs its transient
-/// and a couple of periods, not the budget.  The
-/// engine selects the evaluator; verdicts, cycle indices and the
-/// post-mortem bundle are bit-identical across engines (the xir
-/// engines replay the interpreter's probe wiring, so the watchdog sees
-/// the same frames).  kSliced screens this single scenario through the
-/// compiled guard and a one-lane sliced analysis.
-Json screen_one(const graph::Topology& topo, bool worst_case,
-                lip::StopPolicy policy, std::uint64_t budget,
-                std::uint64_t threshold, xir::EngineMode engine,
+/// and a couple of periods, not the budget.  The guard and the
+/// steady-state analysis both run on the one lowered `program`.
+Json screen_one(const xir::ProgramRef& program, bool worst_case,
+                std::uint64_t budget, std::uint64_t threshold,
                 bool* deadlocked) {
-  skeleton::SkeletonOptions sopts;
-  sopts.policy = policy;
   {
     telemetry::WatchdogOptions wopts;
     wopts.no_progress_threshold = threshold;
     wopts.worst_case_occupancy = worst_case;
     telemetry::Watchdog dog(wopts);
-    std::uint64_t guard_cycles = 0;
-    if (engine == xir::EngineMode::kInterp) {
-      skeleton::Skeleton guard(topo, sopts);
-      if (worst_case) guard.saturate_stations();
-      dog.attach(guard);
-      guard_cycles = telemetry::run_guarded(guard, dog, budget).cycles;
-    } else {
-      // The watchdog rides the scalar engine for both compiled and
-      // sliced requests; sliced lanes have no per-lane probe hook and
-      // the guard verdict is engine-invariant anyway.
-      xir::ScalarEngine guard(topo, sopts);
-      if (worst_case) guard.saturate_stations();
-      dog.attach(guard);
-      guard_cycles = telemetry::run_guarded(guard, dog, budget).cycles;
-    }
+    xir::ScalarEngine guard(program);
+    if (worst_case) guard.saturate_stations();
+    dog.attach(guard);
+    const std::uint64_t guard_cycles =
+        telemetry::run_guarded(guard, dog, budget).cycles;
     if (dog.tripped()) {
       *deadlocked = true;
       return Json::object()
@@ -255,15 +213,9 @@ Json screen_one(const graph::Topology& topo, bool worst_case,
     }
   }
   // Guard passed: a fresh evaluator delivers the exact steady state.
-  skeleton::SkeletonResult r;
-  if (engine == xir::EngineMode::kInterp) {
-    skeleton::Skeleton sk(topo, sopts);
-    if (worst_case) sk.saturate_stations();
-    r = sk.analyze(budget);
-  } else {
-    r = xir::analyze_with_engine(topo, sopts, budget, engine, worst_case)
-            .result;
-  }
+  xir::ScalarEngine eng(program);
+  if (worst_case) eng.saturate_stations();
+  const skeleton::SkeletonResult r = eng.analyze(budget);
   Json j = Json::object().set("deadlock", false).set("found", r.found);
   if (r.found) {
     j.set("transient", r.transient)
@@ -276,14 +228,14 @@ Json screen_one(const graph::Topology& topo, bool worst_case,
 Computed compute_screen(const ParsedDesign& d, const Request& req,
                         const ServerOptions& opts) {
   const std::uint64_t budget = effective_budget(req, opts);
-  const xir::EngineMode engine = engine_of(req);
+  skeleton::SkeletonOptions sopts;
+  sopts.policy = policy_of(req);
+  const xir::ProgramRef program = xir::lower(d.net.topo, sopts);
   bool deadlocked = false;
-  Json from_reset = screen_one(d.net.topo, /*worst_case=*/false,
-                               policy_of(req), budget,
-                               opts.watchdog_threshold, engine, &deadlocked);
-  Json worst = screen_one(d.net.topo, /*worst_case=*/true, policy_of(req),
-                          budget, opts.watchdog_threshold, engine,
-                          &deadlocked);
+  Json from_reset = screen_one(program, /*worst_case=*/false, budget,
+                               opts.watchdog_threshold, &deadlocked);
+  Json worst = screen_one(program, /*worst_case=*/true, budget,
+                          opts.watchdog_threshold, &deadlocked);
   Json result = Json::object()
                     .set("schema", "liplib.serve.screen/1")
                     .set("topology_hash", hex64(topology_hash(d.net.topo)))
@@ -330,11 +282,8 @@ Computed compute_profile(const Request& req, const ServerOptions& opts) {
 
 /// Static proof via liplib::prove.  Purely deterministic in the request
 /// knobs, so the result is ideal cache fodder: a fleet that keeps
-/// re-proving the same design text is answered from memory.  The engine
-/// field selects the frontier: interp = scalar reference search, sliced
-/// (or compiled) = the 64-way bit-sliced frontier — verdicts are
-/// identical, so like screen requests the engine is a performance knob
-/// that still keys the cache separately.
+/// re-proving the same design text is answered from memory.  The search
+/// runs on prove's default 64-way bit-sliced frontier.
 Computed compute_prove(const ParsedDesign& d, const Request& req,
                        const ServerOptions& opts) {
   prove::ProveOptions popts;
@@ -342,14 +291,12 @@ Computed compute_prove(const ParsedDesign& d, const Request& req,
   popts.worst_case_occupancy = req.worst_case;
   prove::parse_method(req.method, &popts.method);
   popts.depth = req.depth;
-  popts.sliced_frontier = req.engine != "interp";
   popts.max_states = effective_budget(req, opts);
   const auto pr = prove::prove(d.net.topo, popts);
   Json result = Json::object()
                     .set("schema", "liplib.serve.prove/1")
                     .set("topology_hash", hex64(topology_hash(d.net.topo)))
                     .set("policy", req.policy)
-                    .set("engine", req.engine)
                     .set("worst_case", req.worst_case)
                     .set("verdict", prove::verdict_name(pr.verdict))
                     .set("exit_code", pr.exit_code())
@@ -367,7 +314,6 @@ Computed compute_campaign(const Request& req, const ServerOptions& opts,
   spec.jobs = static_cast<std::size_t>(req.jobs);
   spec.policy = policy_of(req);
   spec.shape = campaign::FuzzSpec::Shape::kComposite;
-  spec.engine = engine_of(req);
   const auto jobs = campaign::make_named_campaign(spec);
   campaign::EngineOptions eopts;
   eopts.threads = opts.threads;
@@ -443,14 +389,12 @@ std::string cache_key(const Request& req, const ParsedDesign* design,
     case RequestKind::kProve:
       key += "/" + hex64(design->content_hash) + "/" + req.policy;
       key += "/method=" + req.method;
-      key += "/engine=" + req.engine;
       key += "/depth=" + std::to_string(req.depth);
       key += req.worst_case ? "/wc=1" : "/wc=0";
       key += "/budget=" + std::to_string(effective_budget(req, opts));
       break;
     case RequestKind::kCampaign:
       key += "/" + req.mode + "/" + req.policy +
-             "/engine=" + req.engine +
              "/jobs=" + std::to_string(req.jobs) +
              "/seed=" + std::to_string(req.seed) +
              "/budget=" + std::to_string(effective_budget(req, opts));
@@ -506,13 +450,11 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
   root.track = "serve";
   root.ts_us = t0;
 
-  const bool engine_labelled = req.kind == RequestKind::kScreen ||
-                               req.kind == RequestKind::kCampaign ||
-                               req.kind == RequestKind::kProve;
   /// Closes the request: counters, the latency sample (kept equal to
   /// the per-kind request counters whenever the daemon is idle, which is
-  /// how status counts requests in flight) and the root span.  `observe_latency` is false only for the metrics kind,
-  /// which records its sample *before* exposition instead.
+  /// how status counts requests in flight) and the root span.
+  /// `observe_latency` is false only for the metrics kind, which records
+  /// its sample *before* exposition instead.
   auto finish = [&](bool deadlock, bool error, const char* cache_label,
                     bool observe_latency = true) {
     if (deadlock) ctx.registry.counter_add(kDeadlockVerdictsMetric, {});
@@ -521,9 +463,7 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
     if (observe_latency) {
       ctx.registry.observe(
           kLatencyMetric,
-          {{"kind", request_kind_name(req.kind)},
-           {"engine", engine_labelled ? req.engine : "none"},
-           {"cache", cache_label}},
+          {{"kind", request_kind_name(req.kind)}, {"cache", cache_label}},
           t1 - t0);
     }
     if (tracing) {
@@ -558,7 +498,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
                              "liplib_serve_cache_evictions_total", {}));
       ctx.registry.observe(kLatencyMetric,
                            {{"kind", request_kind_name(req.kind)},
-                            {"engine", "none"},
                             {"cache", "none"}},
                            ctx.recorder.now_us() - t0);
       const std::string result =
@@ -597,10 +536,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
 
     const std::string key =
         cache_key(req, needs_design ? &design : nullptr, ctx.opts);
-    // Per-engine cache traffic (engine-keyed kinds only): screen and
-    // campaign answers depend on the requested evaluator's key.
-    const bool engine_keyed = req.kind == RequestKind::kScreen ||
-                              req.kind == RequestKind::kCampaign;
 
     const std::uint64_t lookup_ts = ctx.recorder.now_us();
     auto hit = ctx.cache.lookup(key);
@@ -617,11 +552,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
       lk.dur_us = lookup_end - lookup_ts;
       ctx.recorder.record(std::move(lk));
       root.events.push_back({hit ? "cache.hit" : "cache.miss", lookup_end});
-    }
-    if (engine_keyed) {
-      ctx.registry.counter_add(kEngineCacheMetric,
-                               {{"engine", req.engine},
-                                {"cache", hit ? "hit" : "miss"}});
     }
     if (hit) {
       finish(false, false, "hit");
@@ -658,7 +588,6 @@ std::string handle_payload(std::string_view payload, ServeContext& ctx) {
       ex.track = "serve";
       ex.ts_us = exec_ts;
       ex.dur_us = ctx.recorder.now_us() - exec_ts;
-      if (engine_labelled) ex.attrs.emplace_back("engine", req.engine);
       ctx.recorder.record(std::move(ex));
     }
     const std::size_t evicted = ctx.cache.insert(key, computed.result);

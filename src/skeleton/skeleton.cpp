@@ -466,7 +466,8 @@ SkeletonResult Skeleton::analyze(std::uint64_t max_cycles,
   std::unordered_map<std::string, Snap> seen;
   for (std::uint64_t i = 0; i <= max_cycles; ++i) {
     std::string key = state_signature();
-    key.push_back(static_cast<char>(cycle_ % env_period));
+    const std::uint64_t phase = cycle_ % env_period;
+    key.append(reinterpret_cast<const char*>(&phase), sizeof phase);
     auto [it, inserted] = seen.emplace(std::move(key), snap());
     if (!inserted) {
       const Snap& first = it->second;
@@ -506,38 +507,6 @@ ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
   v.min_throughput = r.system_throughput();
   v.starved = r.starved_shells();
   return v;
-}
-
-CureResult cure_deadlocks(const graph::Topology& topo, ScreeningOptions opts,
-                          std::uint64_t max_cycles) {
-  CureResult result;
-  result.cured = topo;
-  for (;;) {
-    const auto verdict = screen_for_deadlock(result.cured, opts, max_cycles);
-    if (verdict.ran_to_steady_state && !verdict.deadlock_found) {
-      result.success = true;
-      return result;
-    }
-    // Substitute one half relay station on a cycle with a full one; the
-    // combinational stop loop it participated in is then broken there.
-    const auto on_cycle = result.cured.channels_on_cycles();
-    bool substituted = false;
-    for (graph::ChannelId c = 0;
-         c < result.cured.channels().size() && !substituted; ++c) {
-      if (!on_cycle[c]) continue;
-      auto& ch = result.cured.channel_mut(c);
-      for (auto& kind : ch.stations) {
-        if (kind == graph::RsKind::kHalf) {
-          kind = graph::RsKind::kFull;
-          result.touched_channels.push_back(c);
-          ++result.substitutions;
-          substituted = true;
-          break;
-        }
-      }
-    }
-    if (!substituted) return result;  // nothing left to cure; failed
-  }
 }
 
 }  // namespace liplib::skeleton

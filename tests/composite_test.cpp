@@ -10,6 +10,7 @@
 #include "liplib/lip/design.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -110,8 +111,10 @@ TEST(Composite, HalfLoopsScreenCleanFromResetAndCureWhenLatched) {
     const auto worst = skeleton::screen_for_deadlock(gen.topo, wc);
     if (worst.deadlock_found) {
       ++latched;
-      const auto cure = skeleton::cure_deadlocks(gen.topo, wc);
+      const auto cure = xir::cure_deadlocks(gen.topo, wc);
       EXPECT_TRUE(cure.success) << "iteration " << i;
+      EXPECT_FALSE(skeleton::screen_for_deadlock(cure.cured, wc).deadlock_found)
+          << "iteration " << i;
     }
   }
   // With halves allowed in loops, a decent fraction of samples latch.

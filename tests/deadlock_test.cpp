@@ -18,6 +18,7 @@
 #include "liplib/graph/generators.hpp"
 #include "liplib/lip/steady_state.hpp"
 #include "liplib/skeleton/skeleton.hpp"
+#include "liplib/xir/xir.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -163,7 +164,7 @@ TEST(Deadlock, CureUpgradesFewStations) {
   const auto before = skeleton::screen_for_deadlock(gen.topo, worst_case());
   ASSERT_TRUE(before.deadlock_found);
 
-  const auto cure = skeleton::cure_deadlocks(gen.topo, worst_case());
+  const auto cure = xir::cure_deadlocks(gen.topo, worst_case());
   EXPECT_TRUE(cure.success);
   EXPECT_GE(cure.substitutions, 1u);
   EXPECT_LE(cure.substitutions, 3u);  // "low intrusive changes"
@@ -175,7 +176,7 @@ TEST(Deadlock, CureUpgradesFewStations) {
 
 TEST(Deadlock, CureLeavesHealthyDesignAlone) {
   auto gen = graph::make_loop_chain({{1, 2}, {2, 3}});
-  const auto cure = skeleton::cure_deadlocks(gen.topo, worst_case());
+  const auto cure = xir::cure_deadlocks(gen.topo, worst_case());
   EXPECT_TRUE(cure.success);
   EXPECT_EQ(cure.substitutions, 0u);
 }
@@ -197,7 +198,7 @@ TEST(Deadlock, LoopChainWithHalfLoopDetectedAndCured) {
   // Only the half-station loop starves.
   EXPECT_FALSE(wc_verdict.starved.empty());
 
-  const auto cure = skeleton::cure_deadlocks(gen.topo, worst_case());
+  const auto cure = xir::cure_deadlocks(gen.topo, worst_case());
   EXPECT_TRUE(cure.success);
   EXPECT_LE(cure.substitutions, 2u);
 }

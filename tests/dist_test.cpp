@@ -2,7 +2,7 @@
 // tiles the job-index space, manifests reject tampering and foreign
 // shards, and the deterministic merge is byte-identical to the
 // single-process aggregate across the full shard-count × thread-count
-// × engine matrix.  The coordinator/worker transport is exercised over
+// matrix.  The coordinator/worker transport is exercised over
 // real loopback sockets, including the straggler path: a worker that
 // takes a lease and dies must not lose the campaign — the shard is
 // re-dispatched and the merged report still matches the golden bytes.
@@ -37,12 +37,10 @@ using namespace liplib;
 using dist::Partial;
 using dist::ShardManifest;
 
-campaign::NamedCampaignSpec fuzz_spec(std::size_t jobs,
-                                      xir::EngineMode engine) {
+campaign::NamedCampaignSpec fuzz_spec(std::size_t jobs) {
   campaign::NamedCampaignSpec spec;
   spec.mode = "fuzz";
   spec.jobs = jobs;
-  spec.engine = engine;
   return spec;
 }
 
@@ -78,7 +76,7 @@ Partial run_shard(const campaign::NamedCampaignSpec& spec, unsigned threads,
   Partial p;
   p.manifest = dist::make_manifest(
       dist::named_campaign_to_string(spec), jobs.size(), kSeed, kBudget,
-      xir::engine_mode_name(spec.engine), range);
+      range);
   p.aggregate = campaign::aggregate(results);
   return p;
 }
@@ -117,11 +115,8 @@ TEST(Dist, NamedCampaignSpecStringRoundTrips) {
   spec.jobs = 123;
   spec.policy = lip::StopPolicy::kCarloniStrict;
   spec.shape = campaign::FuzzSpec::Shape::kReconvergent;
-  spec.engine = xir::EngineMode::kSliced;
   const std::string text = dist::named_campaign_to_string(spec);
-  EXPECT_EQ(text,
-            "mode=fuzz;jobs=123;policy=strict;shape=reconvergent;"
-            "engine=sliced");
+  EXPECT_EQ(text, "mode=fuzz;jobs=123;policy=strict;shape=reconvergent");
   const auto back = dist::named_campaign_from_string(text);
   EXPECT_EQ(dist::named_campaign_to_string(back), text);
   EXPECT_THROW(dist::named_campaign_from_string("mode=fuzz"), ApiError);
@@ -134,9 +129,9 @@ TEST(Dist, NamedCampaignSpecStringRoundTrips) {
 }
 
 TEST(Dist, ManifestRoundTripsAndRejectsTampering) {
-  const auto spec = fuzz_spec(30, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(30);
   const auto m = dist::make_manifest(dist::named_campaign_to_string(spec),
-                                     30, kSeed, kBudget, "interp",
+                                     30, kSeed, kBudget,
                                      dist::shard_range(30, 1, 3));
   const Json doc = dist::manifest_to_json(m);
   const auto back = dist::manifest_from_json(doc);
@@ -144,8 +139,7 @@ TEST(Dist, ManifestRoundTripsAndRejectsTampering) {
 
   // A tampered spec string no longer matches the travelling hash.
   ShardManifest forged = m;
-  forged.campaign =
-      "mode=fuzz;jobs=31;policy=variant;shape=composite;engine=interp";
+  forged.campaign = "mode=fuzz;jobs=31;policy=variant;shape=composite";
   EXPECT_THROW(dist::manifest_from_json(dist::manifest_to_json(forged)),
                ApiError);
   // A range that is not the planned slice of shard 1/3 is rejected.
@@ -156,7 +150,7 @@ TEST(Dist, ManifestRoundTripsAndRejectsTampering) {
 }
 
 TEST(Dist, PartialDocumentRoundTrips) {
-  const auto spec = fuzz_spec(24, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(24);
   const Partial p = run_shard(spec, 2, 1, 4);
   const Json doc = dist::partial_to_json(p.manifest, p.aggregate);
   const Partial back = dist::partial_from_json(doc);
@@ -165,30 +159,31 @@ TEST(Dist, PartialDocumentRoundTrips) {
 }
 
 // Satellite: the shard-determinism matrix.  1/2/4/8 shards × 1/2/8
-// engine threads × scalar/sliced evaluators, all merging to the exact
-// bytes of the unsharded aggregate over the 300-topology fuzz suite.
+// engine threads, all merging to the exact bytes of the unsharded
+// aggregate over the 300-topology fuzz suite, itself the same at 1, 2
+// and 8 threads.
 TEST(Dist, MergeMatrixIsByteIdenticalToUnsharded) {
-  for (const auto engine :
-       {xir::EngineMode::kInterp, xir::EngineMode::kSliced}) {
-    const auto spec = fuzz_spec(300, engine);
-    const std::string golden = unsharded_bytes(spec, /*threads=*/2);
-    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-      for (const unsigned threads : {1u, 2u, 8u}) {
-        std::vector<Partial> parts;
-        for (std::size_t i = 0; i < shards; ++i) {
-          parts.push_back(run_shard(spec, threads, i, shards));
-        }
-        const auto merged = dist::merge_partials(std::move(parts));
-        EXPECT_EQ(campaign::to_json(merged).dump(2), golden)
-            << "shards=" << shards << " threads=" << threads
-            << " engine=" << xir::engine_mode_name(engine);
+  const auto spec = fuzz_spec(300);
+  const std::string golden = unsharded_bytes(spec, /*threads=*/2);
+  for (const unsigned threads : {1u, 8u}) {
+    EXPECT_EQ(unsharded_bytes(spec, threads), golden)
+        << "unsharded threads=" << threads;
+  }
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      std::vector<Partial> parts;
+      for (std::size_t i = 0; i < shards; ++i) {
+        parts.push_back(run_shard(spec, threads, i, shards));
       }
+      const auto merged = dist::merge_partials(std::move(parts));
+      EXPECT_EQ(campaign::to_json(merged).dump(2), golden)
+          << "shards=" << shards << " threads=" << threads;
     }
   }
 }
 
 TEST(Dist, MergeRejectsForeignAndIncompleteShards) {
-  const auto spec = fuzz_spec(20, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(20);
   const Partial p0 = run_shard(spec, 1, 0, 2);
   const Partial p1 = run_shard(spec, 1, 1, 2);
 
@@ -202,7 +197,7 @@ TEST(Dist, MergeRejectsForeignAndIncompleteShards) {
   foreign.manifest.base_seed = kSeed + 1;
   EXPECT_THROW(dist::merge_partials({p0, foreign}), ApiError);
   // Different job count entirely.
-  const Partial other = run_shard(fuzz_spec(22, xir::EngineMode::kInterp),
+  const Partial other = run_shard(fuzz_spec(22),
                                   1, 1, 2);
   EXPECT_THROW(dist::merge_partials({p0, other}), ApiError);
   // The two real halves do merge.
@@ -218,7 +213,7 @@ Json dist_round_trip(std::uint16_t port, const Json& request) {
 }
 
 TEST(Dist, CoordinatorSurvivesAStragglerAndMergesGoldenBytes) {
-  const auto spec = fuzz_spec(60, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(60);
   const std::string golden = unsharded_bytes(spec, /*threads=*/2);
 
   dist::CoordinatorOptions copts;
@@ -275,7 +270,7 @@ TEST(Dist, CoordinatorSurvivesAStragglerAndMergesGoldenBytes) {
 // wait is bounded; on a timeout the peer hangs up so the test fails
 // instead of hanging.
 TEST(Dist, SilentPeerDoesNotStallTheCoordinator) {
-  const auto spec = fuzz_spec(40, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(40);
   const std::string golden = unsharded_bytes(spec, /*threads=*/1);
 
   dist::CoordinatorOptions copts;
@@ -324,7 +319,7 @@ TEST(Dist, SilentPeerDoesNotStallTheCoordinator) {
 }
 
 TEST(Dist, CoordinatorDedupsDuplicateResults) {
-  const auto spec = fuzz_spec(8, xir::EngineMode::kInterp);
+  const auto spec = fuzz_spec(8);
   dist::CoordinatorOptions copts;
   copts.spec = spec;
   copts.base_seed = kSeed;
@@ -354,7 +349,7 @@ TEST(Dist, CoordinatorDedupsDuplicateResults) {
   const Json second = dist_round_trip(coord.port(), submit);
   EXPECT_FALSE(second.find("accepted")->as_bool());
   // A partial from a different campaign is an error, not a merge.
-  Partial foreign = run_shard(fuzz_spec(9, xir::EngineMode::kInterp), 1, 0, 1);
+  Partial foreign = run_shard(fuzz_spec(9), 1, 0, 1);
   const Json rejected = dist_round_trip(
       coord.port(), Json::object()
                         .set("rpc", dist::kDistRpcSchema)
@@ -377,7 +372,7 @@ TEST(Dist, CoordinatorDedupsDuplicateResults) {
 
 TEST(Dist, ServeRelaysDistStatus) {
   dist::CoordinatorOptions copts;
-  copts.spec = fuzz_spec(12, xir::EngineMode::kInterp);
+  copts.spec = fuzz_spec(12);
   copts.shards = 3;
   dist::Coordinator coord(copts);
   coord.start();

@@ -399,7 +399,17 @@ TEST(Handlers, ProveRequestsAreProvedCachedAndKeyedByKnobs) {
   handle_payload(request_json("prove", kFig1, "\"method\":\"induction\""),
                  ctx);
   handle_payload(request_json("prove", kFig1, "\"worst_case\":true"), ctx);
-  handle_payload(request_json("prove", kFig1, "\"engine\":\"sliced\""), ctx);
+  handle_payload(request_json("prove", kFig1, "\"policy\":\"strict\""), ctx);
+  EXPECT_EQ(ctx.cache.stats().entries, 5u);
+  // An engine member is no knob: the reset proof of Fig. 1 answers it.
+  std::string r4;
+  bool c4 = false, ok4 = false;
+  split_response(handle_payload(request_json("prove", kFig1,
+                                             "\"engine\":\"sliced\""),
+                                ctx),
+                 &r4, &c4, &ok4);
+  EXPECT_TRUE(ok4 && c4);
+  EXPECT_EQ(r4, r1);
   EXPECT_EQ(ctx.cache.stats().entries, 5u);
 
   // Validation: bogus method is a request error, missing netlist too.

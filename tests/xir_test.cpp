@@ -7,12 +7,14 @@
 // tests here hold all three evaluators together over hundreds of
 // random "most general topology" instances (the same generator family
 // the lint cross-check campaign uses), plus targeted checks for lane
-// independence, probe/watchdog parity and the serve daemon's
-// engine-keyed cache.
+// independence, probe/watchdog parity, campaign jobs against the
+// interpreter and the serve daemon's single evaluator.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -89,6 +91,35 @@ graph::Topology with_station_kinds(const graph::Topology& topo,
   return out;
 }
 
+// A steady-state analysis and the cycles it simulated.
+struct Analyzed {
+  skeleton::SkeletonResult result;
+  std::uint64_t cycles = 0;
+};
+
+// The interpreter (the oracle) or the ScalarEngine: one API.
+template <typename Evaluator>
+Analyzed analyze_on(const graph::Topology& topo,
+                    skeleton::SkeletonOptions opts, bool worst_case,
+                    std::uint64_t budget) {
+  Evaluator eng(topo, opts);
+  if (worst_case) eng.saturate_stations();
+  Analyzed a;
+  a.result = eng.analyze(budget);
+  a.cycles = eng.cycle();
+  return a;
+}
+
+// The same scenario in lane 0 of a one-lane SlicedEngine.
+Analyzed analyze_one_lane(const graph::Topology& topo,
+                          skeleton::SkeletonOptions opts, bool worst_case,
+                          std::uint64_t budget) {
+  xir::SlicedEngine eng(topo, opts, /*num_lanes=*/1);
+  if (worst_case) eng.saturate_stations(1ull);
+  auto lanes = eng.analyze(budget);
+  return {std::move(lanes[0].result), lanes[0].cycles};
+}
+
 // ---- the 300-topology differential -------------------------------------
 
 TEST(XirDifferential, ThreeHundredRandomComposites) {
@@ -102,12 +133,11 @@ TEST(XirDifferential, ThreeHundredRandomComposites) {
     const bool worst_case = (i % 3) == 0;
     const std::string what = "topology " + std::to_string(i);
 
-    const auto interp = xir::analyze_with_engine(
-        topo, opts, kBudget, xir::EngineMode::kInterp, worst_case);
-    const auto compiled = xir::analyze_with_engine(
-        topo, opts, kBudget, xir::EngineMode::kCompiled, worst_case);
-    const auto sliced = xir::analyze_with_engine(
-        topo, opts, kBudget, xir::EngineMode::kSliced, worst_case);
+    const auto interp =
+        analyze_on<skeleton::Skeleton>(topo, opts, worst_case, kBudget);
+    const auto compiled =
+        analyze_on<xir::ScalarEngine>(topo, opts, worst_case, kBudget);
+    const auto sliced = analyze_one_lane(topo, opts, worst_case, kBudget);
 
     expect_same_result(interp.result, compiled.result, what + " compiled");
     expect_same_result(interp.result, sliced.result, what + " sliced");
@@ -124,17 +154,18 @@ TEST(XirDifferential, ScreeningVerdictsAgree) {
     const std::string what = "topology " + std::to_string(i);
 
     const auto interp = skeleton::screen_for_deadlock(topo, opts, 1u << 16);
-    const auto compiled = xir::screen_for_deadlock(
-        topo, opts, 1u << 16, xir::EngineMode::kCompiled);
-    const auto sliced = xir::screen_for_deadlock(
-        topo, opts, 1u << 16, xir::EngineMode::kSliced);
+    const auto compiled = xir::screen_for_deadlock(topo, opts, 1u << 16);
+    xir::VariantSpec lane0;
+    lane0.worst_case_occupancy = opts.worst_case_occupancy;
+    const auto sliced =
+        xir::screen_variants(topo, {lane0}, opts.skeleton, 1u << 16)[0];
     expect_same_verdict(interp, compiled, what + " compiled");
     expect_same_verdict(interp, sliced, what + " sliced");
   }
 }
 
-// The engine's own API surface (not just the analyze_with_engine
-// wrapper): step/cycle/fires track the interpreter cycle by cycle.
+// The engine's own API surface (not just analyze): step/cycle/fires
+// track the interpreter cycle by cycle.
 TEST(XirDifferential, StepLevelFireCounts) {
   const graph::Topology topo = random_composite(42);
   skeleton::SkeletonOptions opts;
@@ -207,6 +238,44 @@ TEST(XirSignature, WideSourceFanoutKeepsEveryPendingBit) {
     expect_same_result(interp, compiled, what + " compiled");
     expect_same_result(interp, lane, what + " sliced");
   }
+}
+
+// A sink environment longer than 256 cycles: src -> a -> out through
+// full stations, the sink stopping only at position 300 of a 512-long
+// pattern.  The protocol state repeats every cycle except around the
+// stop, so a phase key truncated to one byte aliases phases 256 apart
+// and reports period 256 at full throughput; the whole phase gives the
+// true period 512 and one lost cycle per period.
+TEST(XirSignature, EnvironmentPhaseBeyondOneByte) {
+  graph::Topology topo;
+  const graph::NodeId src = topo.add_source("src");
+  const graph::NodeId a = topo.add_process("a", 1, 1);
+  const graph::NodeId out = topo.add_sink("out");
+  topo.connect({src, 0}, {a, 0}, {graph::RsKind::kFull});
+  topo.connect({a, 0}, {out, 0}, {graph::RsKind::kFull});
+  std::vector<bool> pattern(512, false);
+  pattern[300] = true;
+  constexpr std::uint64_t kEnvPeriod = 512;
+
+  skeleton::Skeleton sk(topo);
+  xir::ScalarEngine eng(topo);
+  xir::SlicedEngine sliced(topo, {}, 1);
+  sk.set_sink_pattern(out, pattern);
+  eng.set_sink_pattern(out, pattern);
+  sliced.set_sink_pattern(out, pattern);
+  ASSERT_EQ(sk.env_period(), kEnvPeriod);
+  ASSERT_EQ(eng.env_period(), kEnvPeriod);
+
+  const auto interp = sk.analyze(1u << 14, kEnvPeriod);
+  const auto compiled = eng.analyze(1u << 14, kEnvPeriod);
+  const auto lane = sliced.analyze(1u << 14, kEnvPeriod)[0].result;
+  for (const auto* r : {&interp, &compiled, &lane}) {
+    ASSERT_TRUE(r->found);
+    EXPECT_EQ(r->period, kEnvPeriod);
+    EXPECT_EQ(r->system_throughput(), Rational(511, 512));
+  }
+  expect_same_result(interp, compiled, "compiled");
+  expect_same_result(interp, lane, "sliced");
 }
 
 TEST(XirSliced, SixtyFourVariantLanesMatchInterpreter) {
@@ -289,41 +358,47 @@ TEST(XirWatchdog, TripCycleMatchesInterpreter) {
 
 // ---- campaign integration -----------------------------------------------
 
+// The campaign outcome of one screening verdict, derived independently
+// of campaign::make_screening_job.
+campaign::Outcome screening_outcome(const skeleton::ScreeningVerdict& v) {
+  if (!v.ran_to_steady_state) return campaign::Outcome::kBudgetExhausted;
+  if (!v.deadlock_found) return campaign::Outcome::kLive;
+  return !v.starved.empty() && v.min_throughput > Rational(0)
+             ? campaign::Outcome::kStarvation
+             : campaign::Outcome::kDeadlock;
+}
+
 TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
   Rng rng(5);
   const graph::Topology base =
       graph::make_random_composite(rng, 3, true, true).topo;
+  constexpr std::size_t kVariants = 100;
 
-  auto run = [&](xir::EngineMode engine) {
-    campaign::MixScreenSpec spec;
-    spec.topo = base;
-    spec.variants = 100;
-    spec.engine = engine;
-    campaign::EngineOptions eopts;
-    eopts.threads = 2;
-    eopts.cycle_budget = 1u << 14;
-    return campaign::Engine(eopts).run(
-        campaign::make_mix_screen_campaign(spec));
-  };
+  campaign::MixScreenSpec spec;
+  spec.topo = base;
+  spec.variants = kVariants;
+  campaign::EngineOptions eopts;
+  eopts.threads = 2;
+  eopts.base_seed = 1;
+  eopts.cycle_budget = 1u << 14;
+  const auto jobs = campaign::Engine(eopts).run(
+      campaign::make_mix_screen_campaign(spec));
 
-  const auto interp = run(xir::EngineMode::kInterp);
-  const auto compiled = run(xir::EngineMode::kCompiled);
-  const auto sliced = run(xir::EngineMode::kSliced);
-
-  // interp and compiled run one job per variant and must agree
-  // elementwise — verdict, cycle count and exact throughput.
-  ASSERT_EQ(interp.size(), 100u);
-  ASSERT_EQ(compiled.size(), 100u);
-  for (std::size_t v = 0; v < interp.size(); ++v) {
-    EXPECT_EQ(interp[v].outcome, compiled[v].outcome) << v;
-    EXPECT_EQ(interp[v].cycles, compiled[v].cycles) << v;
-    EXPECT_EQ(interp[v].has_throughput, compiled[v].has_throughput) << v;
-    EXPECT_EQ(interp[v].throughput, compiled[v].throughput) << v;
+  // The oracle: every variant screened on its own by the interpreter.
+  std::vector<skeleton::ScreeningVerdict> oracle;
+  skeleton::ScreeningOptions wc;
+  wc.worst_case_occupancy = true;
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    const auto kinds =
+        campaign::mix_screen_variant_kinds(base, eopts.base_seed, v);
+    oracle.push_back(skeleton::screen_for_deadlock(
+        with_station_kinds(base, kinds), wc, eopts.cycle_budget));
   }
 
-  // sliced auto-batches 64 variants per job; each job folds its batch
-  // to the worst per-variant outcome and the summed cycles.
-  ASSERT_EQ(sliced.size(), 2u);  // ceil(100 / 64)
+  // 64 variants per job; each job folds its batch to the worst
+  // per-variant outcome, the summed cycles and the minimum throughput,
+  // and tallies every lane's outcome in its detail.
+  ASSERT_EQ(jobs.size(), 2u);  // ceil(100 / 64)
   auto severity = [](campaign::Outcome o) {
     switch (o) {
       case campaign::Outcome::kBudgetExhausted: return 3;
@@ -333,46 +408,87 @@ TEST(XirCampaign, MixScreenBatchesFoldInterpreterVerdicts) {
     }
   };
   std::size_t lo = 0;
-  for (const auto& job : sliced) {
-    const std::size_t hi = std::min<std::size_t>(lo + 64, 100);
+  std::set<campaign::Outcome> seen;
+  for (const auto& job : jobs) {
+    const std::size_t hi = std::min<std::size_t>(lo + 64, kVariants);
     int worst = 0;
     std::uint64_t cycles = 0;
+    Rational min_throughput(1);
+    std::map<std::string, std::size_t> tally;
     for (std::size_t v = lo; v < hi; ++v) {
-      worst = std::max(worst, severity(interp[v].outcome));
-      cycles += interp[v].cycles;
+      const campaign::Outcome o = screening_outcome(oracle[v]);
+      seen.insert(o);
+      worst = std::max(worst, severity(o));
+      cycles += oracle[v].cycles_simulated;
+      if (oracle[v].min_throughput < min_throughput) {
+        min_throughput = oracle[v].min_throughput;
+      }
+      ++tally[campaign::outcome_name(o)];
+    }
+    std::string detail = "variants " + std::to_string(lo) + ".." +
+                         std::to_string(hi - 1) + ":";
+    for (const auto& [name, count] : tally) {
+      detail += " " + name + "=" + std::to_string(count);
     }
     EXPECT_EQ(severity(job.outcome), worst) << job.name;
     EXPECT_EQ(job.cycles, cycles) << job.name;
+    EXPECT_TRUE(job.has_throughput) << job.name;
+    EXPECT_EQ(job.throughput, min_throughput) << job.name;
+    EXPECT_EQ(job.detail, detail) << job.name;
     lo = hi;
   }
+  // Both verdicts appear, or the fold is untested.
+  EXPECT_TRUE(seen.count(campaign::Outcome::kLive));
+  EXPECT_TRUE(seen.count(campaign::Outcome::kDeadlock) ||
+              seen.count(campaign::Outcome::kStarvation));
 }
 
+// Each fuzz job against the interpreter's analysis of the same
+// topology, rebuilt from the job's seed with the composite fuzz recipe
+// (segments = 1 + below(size), halves kept off loops).
 TEST(XirCampaign, FuzzJobsEngineInvariant) {
-  auto run = [](xir::EngineMode engine) {
+  for (const auto policy : {lip::StopPolicy::kCasuDiscardOnVoid,
+                            lip::StopPolicy::kCarloniStrict}) {
+    campaign::FuzzSpec spec;
+    spec.shape = campaign::FuzzSpec::Shape::kComposite;
+    spec.policy = policy;
+    spec.check_equivalence = false;  // the full-data path runs no skeleton
     std::vector<campaign::Job> jobs;
     for (std::size_t i = 0; i < 20; ++i) {
-      campaign::FuzzSpec spec;
-      spec.shape = campaign::FuzzSpec::Shape::kComposite;
-      spec.engine = engine;
-      spec.check_equivalence = false;  // full-data path is engine-blind
       jobs.push_back(
           campaign::make_fuzz_job("fuzz/" + std::to_string(i), spec));
     }
     campaign::EngineOptions eopts;
     eopts.threads = 2;
+    eopts.base_seed = 1;
     eopts.cycle_budget = 1u << 14;
-    return campaign::Engine(eopts).run(jobs);
-  };
-  const auto interp = run(xir::EngineMode::kInterp);
-  const auto compiled = run(xir::EngineMode::kCompiled);
-  const auto sliced = run(xir::EngineMode::kSliced);
-  for (std::size_t i = 0; i < interp.size(); ++i) {
-    EXPECT_EQ(interp[i].outcome, compiled[i].outcome) << i;
-    EXPECT_EQ(interp[i].outcome, sliced[i].outcome) << i;
-    EXPECT_EQ(interp[i].cycles, compiled[i].cycles) << i;
-    EXPECT_EQ(interp[i].cycles, sliced[i].cycles) << i;
-    EXPECT_EQ(interp[i].throughput, compiled[i].throughput) << i;
-    EXPECT_EQ(interp[i].throughput, sliced[i].throughput) << i;
+    const auto results = campaign::Engine(eopts).run(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      Rng rng(campaign::job_seed(eopts.base_seed, i));
+      const std::size_t segments = 1 + rng.below(spec.size);
+      const graph::Topology topo =
+          graph::make_random_composite(rng, segments, /*allow_half=*/true,
+                                       /*allow_half_in_loops=*/false)
+              .topo;
+      skeleton::SkeletonOptions opts;
+      opts.policy = policy;
+      const auto want = analyze_on<skeleton::Skeleton>(
+          topo, opts, /*worst_case=*/false, eopts.cycle_budget);
+      const auto& got = results[i];
+      const std::string what = "job " + std::to_string(i);
+      EXPECT_EQ(got.cycles, want.cycles) << what;
+      ASSERT_TRUE(want.result.found) << what;
+      EXPECT_EQ(got.transient, want.result.transient) << what;
+      EXPECT_EQ(got.period, want.result.period) << what;
+      EXPECT_EQ(got.throughput, want.result.system_throughput()) << what;
+      const campaign::Outcome outcome =
+          want.result.deadlocked           ? campaign::Outcome::kDeadlock
+          : want.result.has_starved_shell ? campaign::Outcome::kStarvation
+                                          : campaign::Outcome::kLive;
+      EXPECT_EQ(got.outcome, outcome) << what << ": " << got.detail;
+    }
   }
 }
 
@@ -385,74 +501,41 @@ channel B.0 -> A.0 : F
 )";
 
 std::string screen_request(const char* engine) {
-  return Json::object()
-      .set("rpc", serve::kRpcSchema)
-      .set("kind", "screen")
-      .set("netlist", kRingNetlist)
-      .set("engine", engine)
-      .dump();
+  Json doc = Json::object()
+                 .set("rpc", serve::kRpcSchema)
+                 .set("kind", "screen")
+                 .set("netlist", kRingNetlist);
+  if (engine) doc.set("engine", engine);
+  return doc.dump();
 }
 
-TEST(XirServe, EngineKeysTheCacheAndCounters) {
+// The engine member of a request names no evaluator: any value (even
+// an unknown one) or none at all is answered from the one cache entry
+// of the design and budget, byte-identically.
+TEST(XirServe, EngineFieldSharesOneCacheEntry) {
   serve::ServeContext ctx;
-  const std::string a1 = serve::handle_payload(screen_request("compiled"),
-                                               ctx);
-  const std::string a2 = serve::handle_payload(screen_request("compiled"),
-                                               ctx);
-  const std::string b1 = serve::handle_payload(screen_request("interp"),
-                                               ctx);
+  const std::string first = serve::handle_payload(screen_request("interp"),
+                                                  ctx);
+  const std::size_t flag = first.find("\"cached\":false");
+  ASSERT_NE(flag, std::string::npos) << first;
+  const std::string want_hit =
+      first.substr(0, flag) + "\"cached\":true" + first.substr(flag + 14);
+  for (const char* engine : {"compiled", "sliced", "turbo",
+                             static_cast<const char*>(nullptr)}) {
+    EXPECT_EQ(serve::handle_payload(screen_request(engine), ctx), want_hit)
+        << (engine ? engine : "(no engine member)");
+  }
 
-  // Identical request → byte-identical cached answer; different engine
-  // → a distinct cache entry (a fresh miss), not a hit on the other key.
-  EXPECT_NE(a1.find("\"cached\":false"), std::string::npos);
-  EXPECT_EQ(a2, a1.substr(0, a1.find("\"cached\":false")) +
-                    "\"cached\":true" +
-                    a1.substr(a1.find("\"cached\":false") + 14));
-  EXPECT_NE(b1.find("\"cached\":false"), std::string::npos);
+  const Json result = *Json::parse(first).find("result");
+  EXPECT_EQ(result.find("verdict")->as_string(), "live");
+  EXPECT_EQ(result.find("engine")->as_string(), serve::Request::engine);
 
-  // The per-engine split as the metrics registry counts it.
-  auto lookups = [&ctx](const char* engine, const char* cache) {
-    return ctx.registry.counter_value(
-        "liplib_serve_engine_cache_lookups_total",
-        {{"engine", engine}, {"cache", cache}});
-  };
-  EXPECT_EQ(lookups("compiled", "miss"), 1u);
-  EXPECT_EQ(lookups("compiled", "hit"), 1u);
-  EXPECT_EQ(lookups("interp", "miss"), 1u);
-  EXPECT_EQ(lookups("interp", "hit"), 0u);
-
-  // Engines agree on the verdict payload (only the echoed engine name
-  // differs between the result documents).
-  const Json ra = *Json::parse(a1).find("result");
-  const Json rb = *Json::parse(b1).find("result");
-  EXPECT_EQ(ra.find("verdict")->as_string(), rb.find("verdict")->as_string());
-  EXPECT_EQ(ra.find("from_reset")->dump(), rb.find("from_reset")->dump());
-  EXPECT_EQ(ra.find("worst_case")->dump(), rb.find("worst_case")->dump());
-  EXPECT_EQ(ra.find("engine")->as_string(), "compiled");
-  EXPECT_EQ(rb.find("engine")->as_string(), "interp");
-
-  // The status document surfaces the per-engine traffic split.
   const Json status = ctx.status_json();
-  const Json* engines = status.find("engines");
-  ASSERT_NE(engines, nullptr);
-  EXPECT_EQ(engines->find("compiled")->find("hits")->as_uint(), 1u);
-  EXPECT_EQ(engines->find("compiled")->find("misses")->as_uint(), 1u);
-  EXPECT_EQ(engines->find("interp")->find("misses")->as_uint(), 1u);
-  EXPECT_EQ(engines->find("sliced")->find("misses")->as_uint(), 0u);
-}
-
-TEST(XirServe, UnknownEngineRejected) {
-  serve::ServeContext ctx;
-  const std::string resp = serve::handle_payload(
-      Json::object()
-          .set("rpc", serve::kRpcSchema)
-          .set("kind", "screen")
-          .set("netlist", kRingNetlist)
-          .set("engine", "turbo")
-          .dump(),
-      ctx);
-  EXPECT_NE(resp.find("\"ok\":false"), std::string::npos);
-  EXPECT_NE(resp.find("unknown engine"), std::string::npos);
+  EXPECT_EQ(status.find("schema")->as_string(), "liplib.serve.status/3");
+  EXPECT_EQ(status.find("engines"), nullptr);
+  EXPECT_EQ(status.find("cache")->find("misses")->as_uint(), 1u);
+  EXPECT_EQ(status.find("cache")->find("hits")->as_uint(), 4u);
+  EXPECT_EQ(status.find("cache")->find("entries")->as_uint(), 1u);
 }
 
 }  // namespace
