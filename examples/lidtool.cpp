@@ -85,7 +85,8 @@ structural commands (take a .lid netlist file):
                                 livelocked design is reported as DEADLOCK
                                 (exit 1) instead of draining the budget
     --worst-case       start from worst-case occupancy (saturated stations)
-    --budget N         watchdog-guarded cycle budget (default 2^18)
+    --budget N         cycle budget of the guard and its steady-state
+                       search (default 2^18)
     --postmortem FILE  on trip, write the post-mortem bundle (replayable
                        with `lidtool replay`) to FILE
   screen    <file.lid>          deadlock screening (reset + worst case)
@@ -100,10 +101,6 @@ structural commands (take a .lid netlist file):
     --induction        k-induction certificates only (same as
                        --method induction)
     --budget N         distinct-state budget (default 2^20)
-    --engine scalar|sliced   search frontier (default sliced, 64 states
-                       per settle pass; verdicts are identical; this picks
-                       prove's reference frontier, not a skeleton
-                       evaluator)
     --policy variant|strict  stop policy (default variant)
     --json             render the result as canonical JSON
     --postmortem FILE  write the counterexample's replayable
@@ -382,32 +379,25 @@ int cmd_simulate(const graph::Topology& topo,
     }
   }
 
-  // Watchdog-guarded pass first: a deadlocked/livelocked design is
-  // reported (with evidence) instead of silently draining the analyze
-  // budget.  The guard stops at transient extinction, so a live design
-  // pays for its transient about twice, not for the budget.
-  const xir::ProgramRef program = xir::lower(topo);
-  {
-    xir::ScalarEngine guard(program);
-    if (worst_case) guard.saturate_stations();
-    telemetry::WatchdogOptions wopts;
-    wopts.worst_case_occupancy = worst_case;
-    telemetry::Watchdog dog(wopts);
-    dog.attach(guard);
-    const auto guarded = telemetry::run_guarded(guard, dog, budget);
-    if (dog.tripped()) {
-      print_trip(dog);
-      if (!pm_path.empty() && !write_postmortem(dog, pm_path)) return 2;
-      std::cout << "summary: simulate cycles=" << guarded.cycles
-                << " seed=0 (skeleton runs are deterministic) "
-                   "verdict=deadlock\n";
-      return 1;
-    }
+  // Watchdog-guarded: a deadlocked/livelocked design is reported (with
+  // evidence) instead of draining the budget, and a live one is read off
+  // the guard's own steady-state analysis, under the same budget.
+  xir::ScalarEngine guard(topo);
+  if (worst_case) guard.saturate_stations();
+  telemetry::WatchdogOptions wopts;
+  wopts.worst_case_occupancy = worst_case;
+  telemetry::Watchdog dog(wopts);
+  dog.attach(guard);
+  const auto guarded = telemetry::run_guarded(guard, dog, budget);
+  if (dog.tripped()) {
+    print_trip(dog);
+    if (!pm_path.empty() && !write_postmortem(dog, pm_path)) return 2;
+    std::cout << "summary: simulate cycles=" << guarded.cycles
+              << " seed=0 (skeleton runs are deterministic) "
+                 "verdict=deadlock\n";
+    return 1;
   }
-
-  xir::ScalarEngine eng(program);
-  if (worst_case) eng.saturate_stations();
-  const auto r = eng.analyze();
+  const auto& r = guarded.result;
   if (!r.found) {
     std::cout << "no steady state within budget\n";
     return 1;
@@ -477,19 +467,6 @@ int cmd_prove(const graph::Topology& topo,
     } else if (rest[i] == "--budget") {
       LIPLIB_EXPECT(i + 1 < rest.size(), "--budget requires a value");
       opts.max_states = parse_u64(rest[++i], "--budget");
-    } else if (rest[i] == "--engine") {
-      LIPLIB_EXPECT(i + 1 < rest.size(), "--engine requires a value");
-      const std::string v = rest[++i];
-      if (v == "scalar") {
-        opts.sliced_frontier = false;
-      } else if (v == "sliced") {
-        opts.sliced_frontier = true;
-      } else {
-        std::cerr << "unknown prove engine '" << v
-                  << "' (expected scalar | sliced)\n\n"
-                  << kUsage;
-        return 2;
-      }
     } else if (rest[i] == "--policy") {
       LIPLIB_EXPECT(i + 1 < rest.size(), "--policy requires a value");
       const std::string v = rest[++i];

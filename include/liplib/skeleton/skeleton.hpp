@@ -62,6 +62,25 @@ struct SkeletonResult {
   }
   /// Node ids of shells that never fire in the steady state.
   std::vector<graph::NodeId> starved_shells() const;
+
+  /// Records a repeat found by an engine: the regime from cycle
+  /// `first_cycle` repeats every `cycles` cycles, in which shell i (of
+  /// shell_ids) fires `fired(i)` times.
+  template <typename Fired>
+  void set_repeat(std::uint64_t first_cycle, std::uint64_t cycles,
+                  Fired fired) {
+    found = true;
+    transient = first_cycle;
+    period = cycles;
+    deadlocked = !shell_ids.empty();
+    for (std::size_t i = 0; i < shell_ids.size(); ++i) {
+      const std::uint64_t n = fired(i);
+      deadlocked = deadlocked && n == 0;
+      has_starved_shell = has_starved_shell || n == 0;
+      shell_throughput.emplace_back(static_cast<std::int64_t>(n),
+                                    static_cast<std::int64_t>(cycles));
+    }
+  }
 };
 
 /// Signature widths of a pending-branch mask: a shell output port
@@ -81,6 +100,25 @@ void append_pend_mask(std::string& sig, std::uint32_t mask,
 /// and 0 (overflowed) stays 0.
 std::uint64_t env_period_of(std::uint64_t period, std::size_t pattern_len);
 
+/// A skeleton engine's probe binding.  A probe observes one run, so a
+/// copy (or a move) of an engine starts unobserved: a search can step
+/// copies of a guarded engine without feeding their cycles to its probe.
+class ProbeBinding {
+ public:
+  ProbeBinding() = default;
+  ProbeBinding(const ProbeBinding&) {}
+  ProbeBinding& operator=(const ProbeBinding&) { return *this = nullptr; }
+  ProbeBinding& operator=(probe::Probe* p) {
+    p_ = p;
+    return *this;
+  }
+  probe::Probe* operator->() const { return p_; }
+  explicit operator bool() const { return p_ != nullptr; }
+
+ private:
+  probe::Probe* p_ = nullptr;
+};
+
 /// Control-plane-only simulator of a latency-insensitive design.
 class Skeleton {
  public:
@@ -88,8 +126,8 @@ class Skeleton {
 
   /// Gives sink `node` a cyclic stop pattern (true = stop); default is a
   /// greedy never-stopping consumer.  Patterns make the environment
-  /// periodic with period = lcm of pattern lengths (env_period()); pass
-  /// that period to analyze().
+  /// periodic with period = lcm of pattern lengths (env_period()), which
+  /// analyze() keys its repeats on.
   void set_sink_pattern(graph::NodeId node, std::vector<bool> pattern);
 
   /// Worst-case-occupancy fault injection: marks every relay station as
@@ -124,10 +162,10 @@ class Skeleton {
   /// env_period()) it determines every later cycle.
   std::string state_signature() const;
 
-  /// Runs until the protocol state repeats (rho detection) and derives
-  /// exact throughputs, transient, period and a deadlock verdict.
-  SkeletonResult analyze(std::uint64_t max_cycles = 1u << 20,
-                         std::uint64_t env_period = 1);
+  /// Runs until the protocol state and the environment phase repeat
+  /// (a map of every visited state; the oracle of ScalarEngine::analyze)
+  /// and derives exact throughputs, transient, period and a verdict.
+  SkeletonResult analyze(std::uint64_t max_cycles = 1u << 20);
 
   /// Attaches an observability probe (liplib/probe).  Must be called
   /// before the first step() on an unbound probe; `probe` must outlive
@@ -180,7 +218,7 @@ class Skeleton {
 
   graph::Topology topo_;
   SkeletonOptions opts_;
-  probe::Probe* probe_ = nullptr;
+  ProbeBinding probe_;
   std::uint64_t cycle_ = 0;
   std::vector<std::uint8_t> fwd_;   // per segment: presented validity
   std::vector<std::uint8_t> stop_;  // per segment: settled stop
@@ -203,6 +241,9 @@ struct ScreeningVerdict {
   Rational min_throughput{0};
   std::vector<graph::NodeId> starved;
 };
+
+/// The screening verdict of an analysis that simulated `cycles` cycles.
+ScreeningVerdict verdict_of(const SkeletonResult& r, std::uint64_t cycles);
 
 /// How screen_for_deadlock initializes the design.
 struct ScreeningOptions {

@@ -34,14 +34,12 @@
 
 #include "liplib/probe/probe.hpp"
 #include "liplib/sim/kernel.hpp"
+#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/json.hpp"
 
 namespace liplib::lip {
 class System;
 }  // namespace liplib::lip
-namespace liplib::skeleton {
-class Skeleton;
-}  // namespace liplib::skeleton
 namespace liplib::xir {
 class ScalarEngine;
 }  // namespace liplib::xir
@@ -203,18 +201,20 @@ class Watchdog final : public probe::CycleObserver {
 /// report a deadlock verdict instead of silently exhausting the budget.
 ///
 /// The skeleton::Skeleton and xir::ScalarEngine overloads also stop at
-/// transient extinction, the paper's screening recipe: once the
-/// protocol state and the sink-environment phase repeat with period λ
-/// (Brent's cycle detection over state_signature() and the cycle modulo
-/// env_period()), they step λ more cycles and stop if the watchdog has
-/// not tripped and that period holds a progress frame.  Frames are a
-/// pure function of state and phase, so every later frozen run has
-/// then been observed and the watchdog provably never trips; a run
-/// that does trip steps to the same trip cycle as a full-budget run.
-/// The lip::System overload always runs to a trip or the budget.
+/// transient extinction, the paper's screening recipe: they analyze()
+/// an unobserved copy of the host under the same budget (transient μ,
+/// period λ), then stop at cycle μ + 2λ if the watchdog has not tripped
+/// and its frozen run there is shorter than λ.  The period then holds a
+/// progress frame; frames are a pure function of state and phase, so
+/// every later frozen run has been observed and the watchdog provably
+/// never trips.  A run that does trip steps to the same trip cycle as a
+/// full-budget run.  The lip::System overload always runs to a trip or
+/// the budget.
 struct GuardedRun {
   std::uint64_t cycles = 0;  ///< cycles actually stepped
   bool deadlocked = false;   ///< watchdog tripped
+  /// The steady state the run stopped on (skeleton overloads only).
+  skeleton::SkeletonResult result;
 };
 GuardedRun run_guarded(lip::System& sys, Watchdog& dog,
                        std::uint64_t max_cycles);

@@ -86,11 +86,11 @@ class SlicedEngine {
     std::uint64_t cycles = 0;
   };
 
-  /// Per-lane rho detection over all live lanes; one batched pass of the
+  /// Per-lane rho detection over all live lanes, keyed on the
+  /// environment phase of the sink patterns; one batched pass of the
   /// protocol dynamics serves every lane.  Verdicts are bit-identical to
   /// running each lane's scenario through the interpreter alone.
-  std::vector<LaneOutcome> analyze(std::uint64_t max_cycles = 1u << 20,
-                                   std::uint64_t env_period = 1);
+  std::vector<LaneOutcome> analyze(std::uint64_t max_cycles = 1u << 20);
 
  private:
   void refresh_schedule();

@@ -165,9 +165,12 @@ class ScalarEngine {
   /// are).
   std::string state_signature() const;
 
-  /// See Skeleton::analyze; verdicts are bit-identical.
-  skeleton::SkeletonResult analyze(std::uint64_t max_cycles = 1u << 20,
-                                   std::uint64_t env_period = 1);
+  /// The steady-state search: Skeleton::analyze's result, cycle() and
+  /// fires() in memory that does not grow with the run, in about
+  /// 2 * (transient + period) steps (Brent for the period, then a
+  /// lockstep pass for the transient; docs/xir.md).  Requires an engine
+  /// without a probe (a copy of a probed engine has none).
+  skeleton::SkeletonResult analyze(std::uint64_t max_cycles = 1u << 20);
 
   /// Attaches a probe through the same Wiring contract as the
   /// interpreter (and thereby the telemetry watchdog, which rides the
@@ -181,9 +184,11 @@ class ScalarEngine {
   void eval_settle_unit(std::uint32_t unit);
   bool eval_settle_unit_changed(std::uint32_t unit);
   void observe_probe();
+  /// Equal repeat keys: the state_signature() state and the phase.
+  bool same_key(const ScalarEngine& other, std::uint64_t env) const;
 
   ProgramRef prog_;
-  probe::Probe* probe_ = nullptr;
+  skeleton::ProbeBinding probe_;
   std::uint64_t cycle_ = 0;
 
   // Arena state: plain byte arrays indexed by the program's CSR ids.

@@ -4,7 +4,8 @@
 # deadlock-free from reset — via the default auto escalation AND via a
 # closing k-induction certificate — and the known worst-case deadlock
 # (half_ring.lid) must come back as a counterexample (exit 1) whose
-# post-mortem bundle `lidtool replay` reproduces to the same freeze.
+# post-mortem bundle `lidtool replay` reproduces to the same freeze.  A
+# 500-shell half-station chain must prove by induction within 10 s.
 #
 # Usage: scripts/prove_smoke.sh [path/to/lidtool]
 # (default: build/examples/lidtool relative to the repo root)
@@ -58,6 +59,25 @@ grep -q '"verdict": *"counterexample"' "$work/cex.json" ||
 grep -q 'reproduced' "$work/replay.out" ||
   fail "replay did not reproduce the proved deadlock"
 echo "prove_smoke: counterexample found, bundled, and replayed"
+
+# A loop-free design proves by induction in time that does not grow with
+# its length: source -> 500 half-station shells -> sink has no cycle
+# certificates, so there is no token audit to replay.
+chain="$work/chain.lid"
+{
+  echo "source src"
+  printf 'process s%d 1 1\n' $(seq 1 500)
+  echo "sink out"
+  echo "channel src.0 -> s1.0 : H"
+  for i in $(seq 1 499); do
+    printf 'channel s%d.0 -> s%d.0 : H\n' "$i" $((i + 1))
+  done
+  echo "channel s500.0 -> out.0 : H"
+} > "$chain"
+timeout 10 "$lidtool" prove "$chain" --method induction >"$work/chain.out" 2>&1
+rc=$?
+[ "$rc" = 0 ] || fail "500-shell chain --method induction: expected exit 0 within 10 s, got $rc"
+echo "prove_smoke: 500-shell half-station chain proved by induction within 10 s"
 
 # Exit-code contract: usage errors are 2, never 0 or 1.
 "$lidtool" prove "$ring" --method bogus >/dev/null 2>&1

@@ -886,9 +886,14 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
 
   // Token-conservation spot check on proved runs (counterexample paths
   // are audited in full while finishing): replay the greedy environment
-  // over the transient and require every certificate count to hold
-  // still.
-  if (r.verdict == Verdict::kProved && induction_sound) {
+  // over every state of its run (analyze() stops at transient + period)
+  // and require every certificate count to hold still.
+  if (r.verdict == Verdict::kProved && induction_sound &&
+      !r.certificates.empty()) {
+    xir::ScalarEngine greedy(prog);
+    if (opts.worst_case_occupancy) greedy.saturate_stations();
+    greedy.analyze(graph::transient_bound(topo));
+    const std::uint64_t probe_cycles = greedy.cycle();
     detail::ScalarState st =
         detail::initial_state(*prog, opts.worst_case_occupancy);
     detail::Scratch scr;
@@ -896,7 +901,6 @@ ProveResult prove(const graph::Topology& topo, ProveOptions opts) {
     for (std::size_t c = 0; c < r.certificates.size(); ++c) {
       tokens0[c] = detail::cycle_tokens(*prog, cm, r.certificates[c], st);
     }
-    const std::uint64_t probe_cycles = graph::transient_bound(topo);
     for (std::uint64_t i = 0; i < probe_cycles; ++i) {
       detail::scalar_step(*prog, &st, 0, &scr);
       for (std::size_t c = 0; c < r.certificates.size(); ++c) {

@@ -184,38 +184,31 @@ Computed compute_lint(const ParsedDesign& d) {
 
 /// One watchdog-guarded screening pass (reset or worst-case occupancy).
 /// A deadlocked design yields a verdict object carrying the post-mortem
-/// bundle instead of wedging the worker on a drained budget.  The guard
-/// stops at transient extinction, so a live design costs its transient
-/// and a couple of periods, not the budget.  The guard and the
-/// steady-state analysis both run on the one lowered `program`.
+/// bundle instead of wedging the worker on a drained budget.  The
+/// guard's steady-state analysis is the screen's result, and the guard
+/// stops at transient extinction, so a live design costs 3μ + 4λ steps.
 Json screen_one(const xir::ProgramRef& program, bool worst_case,
                 std::uint64_t budget, std::uint64_t threshold,
                 bool* deadlocked) {
-  {
-    telemetry::WatchdogOptions wopts;
-    wopts.no_progress_threshold = threshold;
-    wopts.worst_case_occupancy = worst_case;
-    telemetry::Watchdog dog(wopts);
-    xir::ScalarEngine guard(program);
-    if (worst_case) guard.saturate_stations();
-    dog.attach(guard);
-    const std::uint64_t guard_cycles =
-        telemetry::run_guarded(guard, dog, budget).cycles;
-    if (dog.tripped()) {
-      *deadlocked = true;
-      return Json::object()
-          .set("deadlock", true)
-          .set("reason", telemetry::trip_reason_str(dog.reason()))
-          .set("no_progress_since", dog.no_progress_since())
-          .set("trip_cycle", dog.trip_cycle())
-          .set("cycles", guard_cycles)
-          .set("post_mortem", dog.post_mortem().to_json());
-    }
+  telemetry::WatchdogOptions wopts;
+  wopts.no_progress_threshold = threshold;
+  wopts.worst_case_occupancy = worst_case;
+  telemetry::Watchdog dog(wopts);
+  xir::ScalarEngine guard(program);
+  if (worst_case) guard.saturate_stations();
+  dog.attach(guard);
+  const telemetry::GuardedRun run = telemetry::run_guarded(guard, dog, budget);
+  if (dog.tripped()) {
+    *deadlocked = true;
+    return Json::object()
+        .set("deadlock", true)
+        .set("reason", telemetry::trip_reason_str(dog.reason()))
+        .set("no_progress_since", dog.no_progress_since())
+        .set("trip_cycle", dog.trip_cycle())
+        .set("cycles", run.cycles)
+        .set("post_mortem", dog.post_mortem().to_json());
   }
-  // Guard passed: a fresh evaluator delivers the exact steady state.
-  xir::ScalarEngine eng(program);
-  if (worst_case) eng.saturate_stations();
-  const skeleton::SkeletonResult r = eng.analyze(budget);
+  const skeleton::SkeletonResult& r = run.result;
   Json j = Json::object().set("deadlock", false).set("found", r.found);
   if (r.found) {
     j.set("transient", r.transient)

@@ -204,7 +204,7 @@ void Skeleton::settle_stops() {
 
 void Skeleton::attach_probe(probe::Probe& probe) {
   LIPLIB_EXPECT(cycle_ == 0, "attach_probe after stepping");
-  LIPLIB_EXPECT(probe_ == nullptr, "attach_probe called twice");
+  LIPLIB_EXPECT(!probe_, "attach_probe called twice");
   LIPLIB_EXPECT(!probe.bound(), "probe is already bound to a simulator");
   LIPLIB_EXPECT(opts_.input_queue_depth == 0,
                 "probe requires the paper's simplified shell "
@@ -447,46 +447,31 @@ std::string Skeleton::state_signature() const {
   return s;
 }
 
-SkeletonResult Skeleton::analyze(std::uint64_t max_cycles,
-                                 std::uint64_t env_period) {
-  LIPLIB_EXPECT(env_period >= 1, "environment period must be >= 1");
-  struct Snap {
-    std::uint64_t cycle;
-    std::vector<std::uint64_t> fires;
-  };
-  auto snap = [&] {
-    Snap s;
-    s.cycle = cycle_;
-    for (const auto& sh : shells_) s.fires.push_back(sh.fire_count);
-    return s;
-  };
+SkeletonResult Skeleton::analyze(std::uint64_t max_cycles) {
+  const std::uint64_t env = env_period();
   SkeletonResult result;
   for (const auto& sh : shells_) result.shell_ids.push_back(sh.node);
 
-  std::unordered_map<std::string, Snap> seen;
+  struct Seen {  // a visited state's cycle and fire counts
+    std::uint64_t cycle = 0;
+    std::vector<std::uint64_t> fires;
+  };
+  std::unordered_map<std::string, Seen> seen;
   for (std::uint64_t i = 0; i <= max_cycles; ++i) {
     std::string key = state_signature();
-    const std::uint64_t phase = cycle_ % env_period;
+    // An overflowed (0) period keys the whole cycle: nothing repeats.
+    const std::uint64_t phase = env != 0 ? cycle_ % env : cycle_;
     key.append(reinterpret_cast<const char*>(&phase), sizeof phase);
-    auto [it, inserted] = seen.emplace(std::move(key), snap());
+    auto [it, inserted] = seen.try_emplace(std::move(key));
+    Seen& first = it->second;
     if (!inserted) {
-      const Snap& first = it->second;
-      const Snap now = snap();
-      result.found = true;
-      result.transient = first.cycle;
-      result.period = now.cycle - first.cycle;
-      bool progress = false;
-      for (std::size_t k = 0; k < now.fires.size(); ++k) {
-        const auto delta = now.fires[k] - first.fires[k];
-        if (delta > 0) progress = true;
-        if (delta == 0) result.has_starved_shell = true;
-        result.shell_throughput.emplace_back(
-            static_cast<std::int64_t>(delta),
-            static_cast<std::int64_t>(result.period));
-      }
-      result.deadlocked = !progress && !shells_.empty();
+      result.set_repeat(first.cycle, cycle_ - first.cycle, [&](std::size_t k) {
+        return shells_[k].fire_count - first.fires[k];
+      });
       return result;
     }
+    first.cycle = cycle_;
+    for (const auto& sh : shells_) first.fires.push_back(sh.fire_count);
     step();
   }
   return result;
@@ -498,12 +483,16 @@ ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
   Skeleton sk(topo, opts.skeleton);
   if (opts.worst_case_occupancy) sk.saturate_stations();
   const auto r = sk.analyze(max_cycles);
+  return verdict_of(r, sk.cycle());
+}
+
+ScreeningVerdict verdict_of(const SkeletonResult& r, std::uint64_t cycles) {
   ScreeningVerdict v;
   v.ran_to_steady_state = r.found;
   v.deadlock_found = r.deadlocked || r.has_starved_shell;
   v.transient = r.transient;
   v.period = r.period;
-  v.cycles_simulated = sk.cycle();
+  v.cycles_simulated = cycles;
   v.min_throughput = r.system_throughput();
   v.starved = r.starved_shells();
   return v;

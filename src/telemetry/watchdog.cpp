@@ -6,7 +6,6 @@
 #include "liplib/graph/netlist_io.hpp"
 #include "liplib/lip/system.hpp"
 #include "liplib/probe/trace.hpp"
-#include "liplib/skeleton/skeleton.hpp"
 #include "liplib/support/check.hpp"
 #include "liplib/xir/xir.hpp"
 
@@ -362,46 +361,22 @@ GuardedRun run_guarded(lip::System& sys, Watchdog& dog,
 namespace {
 
 /// run_guarded over a skeleton engine, stopping at transient extinction
-/// (see the header).  Brent's algorithm keeps one remembered key — the
-/// state signature at the last power-of-two checkpoint plus its
-/// environment phase — so detection costs constant memory.
+/// (see the header).
 template <typename Engine>
 GuardedRun run_guarded_to_extinction(Engine& eng, Watchdog& dog,
                                      std::uint64_t max_cycles) {
-  const std::uint64_t env = eng.env_period();  // 0: phase not keyable
-  bool detecting = env != 0;
-  std::string tortoise = detecting ? eng.state_signature() : std::string();
-  std::uint64_t tortoise_phase = detecting ? eng.cycle() % env : 0;
-  std::uint64_t power = 1;
-  std::uint64_t lambda = 0;
-  std::uint64_t decide_at = 0;  // r.cycles once two periods are observed
-
   GuardedRun r;
+  r.result = Engine(eng).analyze(max_cycles);
+  const std::uint64_t settled = r.result.transient + 2 * r.result.period;
   while (r.cycles < max_cycles && !dog.tripped()) {
+    // A frozen run shorter than the period means the period holds a
+    // progress frame.  A fully frozen period keeps stepping to its trip.
+    if (r.result.found && eng.cycle() == settled &&
+        dog.frozen_run() < r.result.period) {
+      break;
+    }
     eng.step();
     ++r.cycles;
-    if (detecting) {
-      ++lambda;
-      std::string sig = eng.state_signature();
-      const std::uint64_t phase = eng.cycle() % env;
-      if (phase == tortoise_phase && sig == tortoise) {
-        // Periodic with period lambda from lambda cycles ago: one
-        // period of frames is observed, step one more.
-        detecting = false;
-        decide_at = r.cycles + lambda;
-      } else if (lambda == power) {
-        tortoise = std::move(sig);
-        tortoise_phase = phase;
-        power *= 2;
-        lambda = 0;
-      }
-    } else if (r.cycles == decide_at) {
-      // Two whole periods observed.  A frozen run shorter than the
-      // period means the period holds a progress frame: every later
-      // frozen run repeats one already seen without tripping.  A fully
-      // frozen period keeps stepping to its trip.
-      if (!dog.tripped() && dog.frozen_run() < lambda) break;
-    }
   }
   r.deadlocked = dog.tripped();
   return r;

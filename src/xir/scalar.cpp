@@ -4,7 +4,8 @@
 // src/skeleton/skeleton.cpp); the differential suite keeps them locked
 // together bit for bit.
 
-#include <unordered_map>
+#include <algorithm>
+#include <optional>
 
 #include "liplib/probe/probe.hpp"
 #include "liplib/support/check.hpp"
@@ -151,7 +152,7 @@ void ScalarEngine::settle_stops() {
 
 void ScalarEngine::attach_probe(probe::Probe& probe) {
   LIPLIB_EXPECT(cycle_ == 0, "attach_probe after stepping");
-  LIPLIB_EXPECT(probe_ == nullptr, "attach_probe called twice");
+  LIPLIB_EXPECT(!probe_, "attach_probe called twice");
   LIPLIB_EXPECT(!probe.bound(), "probe is already bound to a simulator");
   probe::Wiring w;
   build_probe_wiring(*prog_, &w);
@@ -326,44 +327,78 @@ std::string ScalarEngine::state_signature() const {
   return s;
 }
 
-skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles,
-                                               std::uint64_t env_period) {
-  LIPLIB_EXPECT(env_period >= 1, "environment period must be >= 1");
-  const Program& p = *prog_;
-  struct Snap {
-    std::uint64_t cycle;
-    std::vector<std::uint64_t> fires;
-  };
-  auto snap = [&] { return Snap{cycle_, fire_count_}; };
-  skeleton::SkeletonResult result;
-  result.shell_ids = p.shell_node;
-
-  std::unordered_map<std::string, Snap> seen;
-  for (std::uint64_t i = 0; i <= max_cycles; ++i) {
-    std::string key = state_signature();
-    const std::uint64_t phase = cycle_ % env_period;
-    key.append(reinterpret_cast<const char*>(&phase), sizeof phase);
-    auto [it, inserted] = seen.emplace(std::move(key), snap());
-    if (!inserted) {
-      const Snap& first = it->second;
-      const Snap now = snap();
-      result.found = true;
-      result.transient = first.cycle;
-      result.period = now.cycle - first.cycle;
-      bool progress = false;
-      for (std::size_t k = 0; k < now.fires.size(); ++k) {
-        const auto delta = now.fires[k] - first.fires[k];
-        if (delta > 0) progress = true;
-        if (delta == 0) result.has_starved_shell = true;
-        result.shell_throughput.emplace_back(
-            static_cast<std::int64_t>(delta),
-            static_cast<std::int64_t>(result.period));
-      }
-      result.deadlocked = !progress && p.num_shells() > 0;
-      return result;
-    }
-    step();
+bool ScalarEngine::same_key(const ScalarEngine& other,
+                            std::uint64_t env) const {
+  if (cycle_ % env != other.cycle_ % env || pend_ != other.pend_ ||
+      src_pend_ != other.src_pend_ || st_occ_ != other.st_occ_ ||
+      st_stop_reg_ != other.st_stop_reg_) {
+    return false;
   }
+  // Slot validity is state only where the slot is occupied.
+  for (std::size_t s = 0; s < st_occ_.size(); ++s) {
+    if ((st_occ_[s] > 0 && st_v0_[s] != other.st_v0_[s]) ||
+        (st_occ_[s] > 1 && st_v1_[s] != other.st_v1_[s])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+skeleton::SkeletonResult ScalarEngine::analyze(std::uint64_t max_cycles) {
+  LIPLIB_EXPECT(!probe_, "analyze() on a probed engine; analyze a copy");
+  skeleton::SkeletonResult result;
+  result.shell_ids = prog_->shell_node;
+  // A repeat counts iff it closes before cycle `end`; without one the
+  // engine stops at `end`, as a scan of every cycle would.
+  const std::uint64_t end =
+      cycle_ + std::min<std::uint64_t>(max_cycles, ~0ull - cycle_ - 1) + 1;
+  std::optional<ScalarEngine> at_end;
+  auto give_up = [&] {
+    if (at_end) *this = std::move(*at_end);
+    while (cycle_ < end) step();
+    return result;
+  };
+  const std::uint64_t env = env_period();
+  if (env == 0) return give_up();  // an overflowed phase never repeats
+
+  // Phase 1, Brent: `tortoise` is this engine at checkpoint start +
+  // 2^k - 1, compared with it for min(2^k, max_cycles) cycles.  The
+  // first repeat is the exact period, and the checkpoint is periodic.
+  ScalarEngine origin(*this);
+  ScalarEngine tortoise(*this);
+  std::optional<ScalarEngine> earlier;  // the previous checkpoint
+  std::uint64_t earlier_span = 0, window = 1, lambda = 0;
+  for (;;) {
+    step();
+    ++lambda;
+    if (cycle_ == end) at_end = *this;
+    if (same_key(tortoise, env)) break;
+    const std::uint64_t span = std::min(window, max_cycles);
+    if (lambda < span) continue;
+    if (window >= max_cycles) return give_up();
+    earlier = std::move(tortoise);
+    earlier_span = span;
+    tortoise = *this;
+    window *= 2;
+    lambda = 0;
+  }
+
+  // Phase 2: a previous checkpoint whose span held the period missed it
+  // in the transient, so start there (else at the start), with `lead`
+  // one period ahead of `trail`: they first agree at the transient.
+  ScalarEngine trail = std::move(
+      earlier && lambda <= earlier_span ? *earlier : origin);
+  ScalarEngine lead(trail);
+  lead.run(lambda);
+  while (lead.cycle_ < end && !lead.same_key(trail, env)) {
+    lead.step();
+    trail.step();
+  }
+  if (lead.cycle_ >= end) return give_up();
+  result.set_repeat(trail.cycle_, lambda, [&](std::size_t k) {
+    return lead.fire_count_[k] - trail.fire_count_[k];
+  });
+  *this = std::move(lead);
   return result;
 }
 
@@ -373,15 +408,7 @@ skeleton::ScreeningVerdict screen_for_deadlock(const graph::Topology& topo,
   ScalarEngine eng(topo, opts.skeleton);
   if (opts.worst_case_occupancy) eng.saturate_stations();
   const auto r = eng.analyze(max_cycles);
-  skeleton::ScreeningVerdict v;
-  v.ran_to_steady_state = r.found;
-  v.deadlock_found = r.deadlocked || r.has_starved_shell;
-  v.transient = r.transient;
-  v.period = r.period;
-  v.cycles_simulated = eng.cycle();
-  v.min_throughput = r.system_throughput();
-  v.starved = r.starved_shells();
-  return v;
+  return skeleton::verdict_of(r, eng.cycle());
 }
 
 skeleton::CureResult cure_deadlocks(const graph::Topology& topo,

@@ -339,9 +339,12 @@ std::string SlicedEngine::lane_signature(std::size_t lane) const {
 }
 
 std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
-    std::uint64_t max_cycles, std::uint64_t env_period) {
-  LIPLIB_EXPECT(env_period >= 1, "environment period must be >= 1");
+    std::uint64_t max_cycles) {
   const Program& p = *prog_;
+  std::uint64_t env = 1;
+  for (const auto& pat : sink_pattern_) {
+    env = skeleton::env_period_of(env, pat.size());
+  }
   const std::size_t shells = p.num_shells();
 
   std::vector<LaneOutcome> out(num_lanes_);
@@ -420,7 +423,8 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
     for (std::size_t s = 0; s < p.num_stations(); ++s) {
       planes[n++] = stop_reg_[s];
     }
-    const std::uint64_t phase = cycle_ % env_period;
+    // An overflowed (0) period keys the whole cycle: nothing repeats.
+    const std::uint64_t phase = env != 0 ? cycle_ % env : cycle_;
     for (std::size_t b = 0; b < num_blocks; ++b) {
       std::copy(planes.begin() + static_cast<std::ptrdiff_t>(b * 64),
                 planes.begin() + static_cast<std::ptrdiff_t>((b + 1) * 64),
@@ -467,20 +471,11 @@ std::vector<SlicedEngine::LaneOutcome> SlicedEngine::analyze(
         }
         continue;
       }
-      auto& r = out[lane].result;
-      r.found = true;
-      r.transient = ls.rec_cycle[first];
-      r.period = cycle_ - ls.rec_cycle[first];
-      bool progress = false;
-      for (std::size_t k = 0; k < shells; ++k) {
-        const auto delta =
-            fires_[k * kLanes + lane] - ls.fires[first * shells + k];
-        if (delta > 0) progress = true;
-        if (delta == 0) r.has_starved_shell = true;
-        r.shell_throughput.emplace_back(static_cast<std::int64_t>(delta),
-                                        static_cast<std::int64_t>(r.period));
-      }
-      r.deadlocked = !progress && shells > 0;
+      out[lane].result.set_repeat(
+          ls.rec_cycle[first], cycle_ - ls.rec_cycle[first],
+          [&](std::size_t k) {
+            return fires_[k * kLanes + lane] - ls.fires[first * shells + k];
+          });
       out[lane].cycles = cycle_;
       active &= ~bit;
     }
@@ -509,17 +504,10 @@ std::vector<skeleton::ScreeningVerdict> screen_variants(
   }
   if (saturate != 0) eng.saturate_stations(saturate);
   const auto lanes = eng.analyze(max_cycles);
-  std::vector<skeleton::ScreeningVerdict> verdicts(variants.size());
+  std::vector<skeleton::ScreeningVerdict> verdicts;
   for (std::size_t lane = 0; lane < variants.size(); ++lane) {
-    const auto& r = lanes[lane].result;
-    auto& v = verdicts[lane];
-    v.ran_to_steady_state = r.found;
-    v.deadlock_found = r.deadlocked || r.has_starved_shell;
-    v.transient = r.transient;
-    v.period = r.period;
-    v.cycles_simulated = lanes[lane].cycles;
-    v.min_throughput = r.system_throughput();
-    v.starved = r.starved_shells();
+    verdicts.push_back(
+        skeleton::verdict_of(lanes[lane].result, lanes[lane].cycles));
   }
   return verdicts;
 }

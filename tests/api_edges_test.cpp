@@ -285,6 +285,42 @@ TEST(ApiEdges, LidtoolCampaignSeedAndShardContract) {
   std::remove(dec_out.c_str());
 }
 
+// ---- lidtool simulate budget contract ----------------------------------
+//
+// `--budget N` bounds the whole run: the watchdog guard and the
+// steady-state search.  A source -> 250 half-station shells -> sink chain
+// settles after 501 cycles, so a 10-cycle budget finds no steady state.
+
+TEST(ApiEdges, LidtoolSimulateBudgetBoundsTheSteadyStateSearch) {
+  std::string chain = "source src\nsink out\n";
+  for (int i = 1; i <= 250; ++i) {
+    chain += "process s" + std::to_string(i) + " 1 1\n";
+  }
+  chain += "channel src.0 -> s1.0 : H\n";
+  for (int i = 1; i < 250; ++i) {
+    chain += "channel s" + std::to_string(i) + ".0 -> s" +
+             std::to_string(i + 1) + ".0 : H\n";
+  }
+  chain += "channel s250.0 -> out.0 : H\n";
+  const std::string lid = write_lid("chain250", chain);
+  const std::string out = lid + ".out";
+
+  const std::string cmd = std::string(LIDTOOL_PATH) + " simulate " + lid +
+                          " --budget 10 >" + out + " 2>&1";
+  const int rc = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 1);
+  const std::string text = read_file(out);
+  EXPECT_NE(text.find("no steady state within budget"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("transient:"), std::string::npos) << text;
+  // The default budget covers the transient.
+  EXPECT_EQ(run_lidtool("simulate " + lid), 0);
+
+  std::remove(lid.c_str());
+  std::remove(out.c_str());
+}
+
 #endif  // LIDTOOL_PATH
 
 }  // namespace

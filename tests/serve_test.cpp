@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -494,14 +495,20 @@ std::vector<std::string> roundtrip(std::uint16_t port,
 }
 
 /// The process's virtual size in KiB (VmSize of /proc/self/status).
-std::int64_t vm_size_kib() {
+/// A numeric field of /proc/self/status (`VmSize:` in KiB, `Threads:`),
+/// or 0 when unreadable.
+std::int64_t proc_status(const std::string& field) {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+    if (line.rfind(field, 0) == 0) {
+      return std::stoll(line.substr(field.size()));
+    }
   }
   return 0;
 }
+
+std::int64_t vm_size_kib() { return proc_status("VmSize:"); }
 
 TEST(Server, EightConcurrentClientsGetByteIdenticalAnswersAndCacheHits) {
   ServerOptions opts;
@@ -576,9 +583,21 @@ TEST(Server, SequentialConnectionsDoNotAccumulateThreadStacks) {
   const std::string status = request_json("status", nullptr);
   ASSERT_TRUE(call(server.port(), status).has_value());  // warm-up
   const std::int64_t before = vm_size_kib();
+  const std::int64_t threads_before = proc_status("Threads:");
   ASSERT_GT(before, 0);
+  ASSERT_GT(threads_before, 0);
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(call(server.port(), status).has_value()) << "call " << i;
+  }
+  // A connection thread may still be exiting after its client got the
+  // answer (more so on a loaded host); its stack is not a leak.  Give
+  // the threads up to 10 s to finish before measuring.  Finished but
+  // unjoined threads no longer count here, so their stacks still show.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (proc_status("Threads:") > threads_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   const std::int64_t grown_mib = (vm_size_kib() - before) / 1024;
   EXPECT_LT(grown_mib, 256) << "VmSize grew by " << grown_mib

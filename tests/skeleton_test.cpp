@@ -86,7 +86,7 @@ TEST(Skeleton, SinkPatternsThrottleThroughput) {
   skeleton::Skeleton sk(gen.topo);
   // Consume only one token every 4 cycles.
   sk.set_sink_pattern(gen.sinks[0], {false, true, true, true});
-  const auto result = sk.analyze(1 << 16, /*env_period=*/4);
+  const auto result = sk.analyze(1 << 16);
   ASSERT_TRUE(result.found);
   EXPECT_EQ(result.system_throughput(), Rational(1, 4));
 }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -230,9 +231,9 @@ TEST(XirSignature, WideSourceFanoutKeepsEveryPendingBit) {
     ASSERT_EQ(eng.env_period(), kEnvPeriod);
     const std::string what = "patterns on branches " + std::to_string(first) +
                              ".." + std::to_string(first + 3);
-    const auto interp = sk.analyze(1u << 12, kEnvPeriod);
-    const auto compiled = eng.analyze(1u << 12, kEnvPeriod);
-    const auto lane = sliced.analyze(1u << 12, kEnvPeriod)[0].result;
+    const auto interp = sk.analyze(1u << 12);
+    const auto compiled = eng.analyze(1u << 12);
+    const auto lane = sliced.analyze(1u << 12)[0].result;
     ASSERT_TRUE(interp.found) << what;
     EXPECT_EQ(interp.transient, 3u) << what;
     expect_same_result(interp, compiled, what + " compiled");
@@ -266,9 +267,9 @@ TEST(XirSignature, EnvironmentPhaseBeyondOneByte) {
   ASSERT_EQ(sk.env_period(), kEnvPeriod);
   ASSERT_EQ(eng.env_period(), kEnvPeriod);
 
-  const auto interp = sk.analyze(1u << 14, kEnvPeriod);
-  const auto compiled = eng.analyze(1u << 14, kEnvPeriod);
-  const auto lane = sliced.analyze(1u << 14, kEnvPeriod)[0].result;
+  const auto interp = sk.analyze(1u << 14);
+  const auto compiled = eng.analyze(1u << 14);
+  const auto lane = sliced.analyze(1u << 14)[0].result;
   for (const auto* r : {&interp, &compiled, &lane}) {
     ASSERT_TRUE(r->found);
     EXPECT_EQ(r->period, kEnvPeriod);
@@ -276,6 +277,135 @@ TEST(XirSignature, EnvironmentPhaseBeyondOneByte) {
   }
   expect_same_result(interp, compiled, "compiled");
   expect_same_result(interp, lane, "sliced");
+}
+
+// ---- the constant-memory steady-state search ----------------------------
+
+/// The window 2^k of Brent's detecting checkpoint 2^k - 1 for a run from
+/// cycle 0 with transient `mu` and period `lambda`: the first checkpoint
+/// past the transient whose window holds the period.
+std::uint64_t brent_window(std::uint64_t mu, std::uint64_t lambda) {
+  std::uint64_t w = 1;
+  while (w - 1 < mu || w < lambda) w *= 2;
+  return w;
+}
+
+TEST(XirSteadyState, BrentSearchMatchesTheMapOracle) {
+  // Pipelines of full or half stations under greedy and patterned sinks
+  // give transients of 2^k - 1, 2^k and 2^k + 1 cycles (asserted below
+  // for k = 2..6); closed rings are periodic from reset with periods
+  // longer than the window before the one that detects them.  Each
+  // design is analyzed from reset and from cycle 5, under the default
+  // budget and under budgets of exactly transient + period (found) and
+  // one cycle less (not found).
+  struct Design {
+    graph::Generated gen;
+    std::vector<bool> pattern;  // of sink 0; empty = greedy
+    std::string what;
+  };
+  std::vector<Design> designs;
+  const std::vector<std::vector<bool>> patterns = {
+      {}, {false, true}, {false, false, true}};
+  for (const auto kind : {graph::RsKind::kFull, graph::RsKind::kHalf}) {
+    for (std::size_t st = 1; st <= 3; ++st) {
+      for (std::size_t n = 1; n <= 21; ++n) {
+        for (std::size_t pat = 0; pat < patterns.size(); ++pat) {
+          designs.push_back(
+              {graph::make_pipeline(n, st, kind), patterns[pat],
+               "pipeline n=" + std::to_string(n) + " st=" +
+                   std::to_string(st) +
+                   (kind == graph::RsKind::kHalf ? " half" : " full") +
+                   " pattern " + std::to_string(pat)});
+        }
+      }
+    }
+  }
+  for (std::size_t a = 1; a <= 6; ++a) {
+    for (std::size_t b = 1; b <= 6; ++b) {
+      designs.push_back({graph::make_closed_ring({a, b, 1}), {},
+                         "ring " + std::to_string(a) + "/" +
+                             std::to_string(b)});
+    }
+  }
+
+  std::set<std::uint64_t> transients;
+  int from_earlier_checkpoint = 0, from_start = 0;
+  for (const Design& d : designs) {
+    const graph::Topology& topo = d.gen.topo;
+    auto run_both = [&](std::uint64_t start, std::uint64_t budget,
+                        const std::string& what) {
+      skeleton::Skeleton sk(topo);
+      xir::ScalarEngine eng(topo);
+      if (!d.pattern.empty()) {
+        sk.set_sink_pattern(d.gen.sinks[0], d.pattern);
+        eng.set_sink_pattern(d.gen.sinks[0], d.pattern);
+      }
+      sk.run(start);
+      eng.run(start);
+      const auto want = sk.analyze(budget);
+      const auto got = eng.analyze(budget);
+      expect_same_result(want, got, what);
+      EXPECT_EQ(sk.cycle(), eng.cycle()) << what;
+      for (graph::NodeId v : d.gen.processes) {
+        EXPECT_EQ(sk.fires(v), eng.fires(v)) << what << " node " << v;
+      }
+      return want;
+    };
+    for (const std::uint64_t start : {0u, 5u}) {
+      const std::string what = d.what + " from cycle " + std::to_string(start);
+      const auto steady = run_both(start, 1u << 16, what);
+      ASSERT_TRUE(steady.found) << what;
+      const std::uint64_t closes = steady.transient + steady.period - start;
+      EXPECT_TRUE(run_both(start, closes, what + " budget mu+lambda").found)
+          << what;
+      EXPECT_FALSE(
+          run_both(start, closes - 1, what + " budget mu+lambda-1").found)
+          << what;
+      if (start != 0) continue;
+      transients.insert(steady.transient);
+      const std::uint64_t w = brent_window(steady.transient, steady.period);
+      if (w == 1) continue;
+      if (steady.period > w / 2) {
+        ++from_start;  // the period outgrew the previous window
+      } else {
+        ++from_earlier_checkpoint;
+      }
+    }
+  }
+  for (std::uint64_t k = 2; k <= 6; ++k) {
+    for (const std::uint64_t mu :
+         {(1ull << k) - 1, 1ull << k, (1ull << k) + 1}) {
+      EXPECT_EQ(transients.count(mu), 1u) << "no design with transient " << mu;
+    }
+  }
+  EXPECT_GT(from_start, 0);
+  EXPECT_GT(from_earlier_checkpoint, 0);
+}
+
+/// Peak resident set of this process, in KiB (0 when unreadable).
+std::int64_t vm_hwm_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoll(line.substr(6));
+  }
+  return 0;
+}
+
+TEST(XirSteadyState, SearchMemoryDoesNotGrowWithTheTransient) {
+  // A 2,500-shell half-station chain has a 5,001-cycle transient; a
+  // search that remembered every visited state would hold ~5,000
+  // signatures and fire-count vectors (~150 MB).  ctest runs each test
+  // in its own process, so VmHWM is this search's peak.
+  const auto gen = graph::make_pipeline(2500, 1, graph::RsKind::kHalf);
+  xir::ScalarEngine eng(gen.topo);
+  const auto r = eng.analyze();
+  ASSERT_TRUE(r.found);
+  EXPECT_GT(r.transient, 5000u);
+  EXPECT_EQ(eng.cycle(), r.transient + r.period);
+  const std::int64_t hwm_mib = vm_hwm_kib() / 1024;
+  ASSERT_GT(vm_hwm_kib(), 0);
+  EXPECT_LT(hwm_mib, 64) << "peak RSS " << hwm_mib << " MiB";
 }
 
 TEST(XirSliced, SixtyFourVariantLanesMatchInterpreter) {
